@@ -1,22 +1,18 @@
-"""Rate-controlled alarm producer (Section 5.5.1).
+"""Alarm producer side of the log (Section 5.5.1).
 
 The paper's handcrafted Producer application replays alarms from the
-test set (never seen in training) into Kafka at a controlled rate, to
-measure how many alarms per second the pipeline sustains. This producer
-does the same against the file-backed log, with a pluggable serializer
-(the Jackson-vs-Gson experiment) and an optional ``rate`` cap in
-records per second.
+test set (never seen in training) into Kafka, to measure how many alarms
+per second the pipeline sustains; ``repro.streaming.producer_sim`` does
+the same against the file-backed log. This module turns alarm rows into
+the JSON-ready records the log's serializers write, and reports a
+replay's throughput.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import pandas as pd
-
-from repro.broker.log import PartitionedLog
-from repro.broker.serializers import GsonishSerializer
 
 
 @dataclass(frozen=True)
@@ -39,35 +35,3 @@ def alarms_to_records(pdf: pd.DataFrame) -> list[dict[str, Any]]:
         if pd.api.types.is_datetime64_any_dtype(out[c]):
             out[c] = out[c].dt.strftime("%Y-%m-%d %H:%M:%S")
     return out.to_dict("records")
-
-
-def produce(
-    log: PartitionedLog,
-    records: Sequence[dict[str, Any]] | Iterable[dict[str, Any]],
-    *,
-    serializer=None,
-    rate: float | None = None,
-    records_per_segment: int = 2_000,
-) -> ProducerStats:
-    """Write records to the log, optionally throttled to ``rate`` rec/s."""
-    serializer = serializer or GsonishSerializer()
-    records = list(records)
-    t0 = time.perf_counter()
-    if rate is None:
-        log.write(records, serializer, records_per_segment=records_per_segment)
-    else:
-        # Throttle per segment-sized chunk to keep sleep overhead low.
-        chunk = max(1, min(records_per_segment, int(rate / 10) or 1))
-        sent = 0
-        for i in range(0, len(records), chunk):
-            log.write(
-                records[i : i + chunk],
-                serializer,
-                records_per_segment=records_per_segment,
-            )
-            sent += len(records[i : i + chunk])
-            target = t0 + sent / rate
-            now = time.perf_counter()
-            if now < target:
-                time.sleep(target - now)
-    return ProducerStats(n_records=len(records), elapsed_s=time.perf_counter() - t0)

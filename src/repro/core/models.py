@@ -92,9 +92,9 @@ def build_estimator(algo: str, input_dim: int, *, fast: bool = False):
     """A configured Spark ML estimator for one of the 4 algorithms.
 
     ``input_dim`` is the encoded feature width (MLP input layer size).
-    ``fast=True`` trims iteration budgets for unit tests; benchmarks and
-    jobs use the default budgets, whose relative cost reproduces the
-    Table 8 ordering (LR < SVM < RF << DNN).
+    ``fast=True`` trims iteration budgets for unit tests; the jobs use
+    the default budgets, whose relative cost reproduces the Table 8
+    ordering (LR < SVM < RF << DNN).
     """
     common = {"featuresCol": FEATURES_COL, "labelCol": LABEL_COL}
     if algo == "rf":

@@ -1,34 +1,20 @@
-"""End-to-end throughput evaluation (Section 5.5, Figures 11/12).
+"""Serializer throughput (Section 5.5, Figure 11).
 
-Three measurements, mirroring the paper's bottleneck hunt:
-
-1. **Serializer throughput** (producer side): reflective
-   ("jacksonish") vs direct ("gsonish") JSON codecs — the paper's
-   Jackson→Gson switch roughly doubled producer throughput.
-2. **End-to-end consumer throughput**: alarms/s through the Structured
-   Streaming consumer including ML verification and the per-device
-   history histogram; the paper sustains ~30 K alarms/s after
-   repartitioning the stream.
-3. **Per-component time breakdown** (Figure 12): streaming vs history
-   vs ML share of consumer time (paper: ~80 % ML, history negligible).
+The paper's bottleneck hunt starts at the producer: switching from a
+reflective (Jackson) to a direct (Gson) JSON codec roughly doubled
+producer throughput. This measures both of this repository's codecs
+over real alarm payloads. Consumer throughput and the Figure 12
+breakdown come from ``ConsumerMetrics`` (``jobs/throughput.py`` and
+``perfbench/``).
 """
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
-
-from pyspark.sql import SparkSession
 
 from repro.broker import serializers
-from repro.broker.log import PartitionedLog
 from repro.broker.producer import alarms_to_records
-from repro.core import labeling, verifier
 from repro.datasets import sitasys
-from repro.docstore.store import DocumentStore
-from repro.streaming import consumer, producer_sim
 
 
 @dataclass(frozen=True)
@@ -57,137 +43,3 @@ def serializer_throughput(
         )
     return out
 
-
-@dataclass(frozen=True)
-class EndToEndResult:
-    """Producer/consumer throughput and per-component breakdown."""
-
-    n_alarms: int
-    produce_records_per_s: float
-    consume_alarms_per_s: float
-    consume_elapsed_s: float
-    n_batches: int
-    breakdown: dict[str, float]
-
-
-@dataclass
-class PreparedStream:
-    """A produced alarm log plus everything the consumer needs to drain
-    it — so benchmarks can time the drain alone."""
-
-    log: PartitionedLog
-    vm: verifier.VerificationModel
-    history: object  # docstore Collection
-    out_dir: str
-    checkpoint_dir: str
-    produce_stats: object
-    repartition: int | None
-    with_history: bool
-
-
-def prepare(
-    spark: SparkSession,
-    workdir: str | Path,
-    *,
-    n_alarms: int = 100_000,
-    sf: float = 0.05,
-    n_partitions: int = 8,
-    repartition: int | None = 16,
-    with_history: bool = True,
-    records_per_segment: int = 25_000,
-    algo: str = "rf",
-    fast_model: bool = False,
-    seed: int = 11,
-) -> PreparedStream:
-    """Train the model, load the history store, produce the stream."""
-    tmp = Path(workdir)
-    pdf = sitasys.generate_pandas(sf=sf, seed=seed, basel_exact=False)
-    df = spark.createDataFrame(pdf)
-    train_df, test_df = verifier.split(df, seed=seed)
-    vm = verifier.train(
-        labeling.with_label(train_df), algo=algo, dataset="sitasys", fast=fast_model
-    )
-    store = DocumentStore(tmp / "store")
-    history = store.collection("alarms")
-    history.insert_many(spark, train_df)
-    log = PartitionedLog(tmp / "log", n_partitions=n_partitions)
-    stats = producer_sim.stream_from_test_set(
-        log,
-        test_df.toPandas(),
-        n_alarms=n_alarms,
-        seed=seed,
-        records_per_segment=records_per_segment,
-    )
-    return PreparedStream(
-        log=log,
-        vm=vm,
-        history=history,
-        out_dir=str(tmp / "out"),
-        checkpoint_dir=str(tmp / "ckpt"),
-        produce_stats=stats,
-        repartition=repartition,
-        with_history=with_history,
-    )
-
-
-def drain(spark: SparkSession, prep: PreparedStream) -> EndToEndResult:
-    """Consume everything in the prepared log; the measured step."""
-    metrics = consumer.run_available(
-        spark,
-        prep.log,
-        prep.vm,
-        prep.history,
-        prep.out_dir,
-        prep.checkpoint_dir,
-        repartition=prep.repartition,
-        with_history=prep.with_history,
-    )
-    return EndToEndResult(
-        n_alarms=metrics.n_alarms,
-        produce_records_per_s=prep.produce_stats.records_per_s,
-        consume_alarms_per_s=metrics.alarms_per_s,
-        consume_elapsed_s=metrics.elapsed_s,
-        n_batches=metrics.n_batches,
-        breakdown=metrics.breakdown(),
-    )
-
-
-def end_to_end(
-    spark: SparkSession,
-    *,
-    n_alarms: int = 100_000,
-    sf: float = 0.05,
-    n_partitions: int = 8,
-    repartition: int | None = 16,
-    with_history: bool = True,
-    records_per_segment: int = 25_000,
-    algo: str = "rf",
-    fast_model: bool = False,
-    workdir: str | None = None,
-    seed: int = 11,
-) -> EndToEndResult:
-    """Produce a test-set stream, drain it through the consumer, measure.
-
-    ``n_partitions=1`` reproduces the paper's unpartitioned-stream
-    bottleneck; ``repartition`` is the fix from Section 6.2.
-    """
-    tmp = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="repro-tp-"))
-    cleanup = workdir is None
-    try:
-        prep = prepare(
-            spark,
-            tmp,
-            n_alarms=n_alarms,
-            sf=sf,
-            n_partitions=n_partitions,
-            repartition=repartition,
-            with_history=with_history,
-            records_per_segment=records_per_segment,
-            algo=algo,
-            fast_model=fast_model,
-            seed=seed,
-        )
-        return drain(spark, prep)
-    finally:
-        if cleanup:
-            shutil.rmtree(tmp, ignore_errors=True)

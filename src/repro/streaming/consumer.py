@@ -82,14 +82,9 @@ class ConsumerMetrics:
         }
 
 
-def read_stream(
-    spark: SparkSession, log: PartitionedLog, *, max_files_per_trigger: int | None = None
-) -> DataFrame:
+def read_stream(spark: SparkSession, log: PartitionedLog) -> DataFrame:
     """The alarm stream as a streaming DataFrame over the log directory."""
-    reader = spark.readStream.schema(ALARM_STREAM_SCHEMA)
-    if max_files_per_trigger is not None:
-        reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
-    return reader.json(log.glob_path())
+    return spark.readStream.schema(ALARM_STREAM_SCHEMA).json(log.glob_path())
 
 
 def run_available(
@@ -101,7 +96,6 @@ def run_available(
     checkpoint_dir: str,
     *,
     repartition: int | None = None,
-    with_history: bool = True,
     timeout_s: float = 600.0,
 ) -> ConsumerMetrics:
     """Drain everything currently in the log, then stop.
@@ -119,23 +113,20 @@ def run_available(
         devices = [r[0] for r in batch.select("device_mac").distinct().collect()]
         t1 = time.perf_counter()
 
-        if with_history:
-            hist = (
-                history.device_histogram(spark, devices)
-                .groupBy("device_mac")
-                .agg(
-                    F.sum("n_alarms").alias("past_alarms"),
-                    F.count("*").alias("active_days"),
-                )
+        hist = (
+            history.device_histogram(spark, devices)
+            .groupBy("device_mac")
+            .agg(
+                F.sum("n_alarms").alias("past_alarms"),
+                F.count("*").alias("active_days"),
             )
-            hist.count()  # materialize the history query inside its timer
+        )
+        hist.count()  # materialize the history query inside its timer
         t2 = time.perf_counter()
 
-        scored = verifier.verify(vm, batch)
-        if with_history:
-            scored = scored.join(hist, "device_mac", "left").fillna(
-                {"past_alarms": 0, "active_days": 0}
-            )
+        scored = verifier.verify(vm, batch).join(hist, "device_mac", "left").fillna(
+            {"past_alarms": 0, "active_days": 0}
+        )
         scored.drop("event_ts").write.mode("append").parquet(out_dir)
         batch.unpersist()
         t3 = time.perf_counter()
@@ -155,7 +146,11 @@ def run_available(
         .start()
     )
     query.awaitTermination(timeout_s)
-    if query.isActive:  # pragma: no cover - defensive timeout path
+    if query.isActive:
         query.stop()
+        raise TimeoutError(
+            f"log not drained within {timeout_s} s "
+            f"({metrics.n_alarms} alarms in {metrics.n_batches} batches)"
+        )
     metrics.elapsed_s = time.perf_counter() - t_start
     return metrics

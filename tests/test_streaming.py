@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from pyspark.errors import StreamingQueryException
 from pyspark.sql import functions as F
 
 from repro.broker.log import PartitionedLog
@@ -107,3 +108,45 @@ def test_metrics_breakdown_sums_to_one(stream_env):
     assert set(b) == {"streaming", "history", "ml"}
     assert sum(b.values()) == pytest.approx(1.0)
     assert metrics.alarms_per_s > 0
+
+
+@pytest.fixture()
+def small_log(tmp_path, sitasys_split):
+    """A fresh 600-alarm, 2-partition log."""
+    _train, test_df = sitasys_split
+    log = PartitionedLog(tmp_path / "log", n_partitions=2)
+    producer_sim.stream_from_test_set(
+        log, test_df.drop("label").limit(1_000).toPandas(), n_alarms=600, seed=3
+    )
+    return log
+
+
+def test_failed_window_is_redelivered(spark, stream_env, rf_model, small_log, tmp_path,
+                                      monkeypatch):
+    """Section 4.2: a window whose processing fails is not committed, so the
+    next run re-reads it; no alarm is missed and none is sunk twice."""
+    _l, history, _s, _m, _out, _tmp = stream_env
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("injected scoring failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "verify", fail)
+        with pytest.raises(StreamingQueryException):
+            consumer.run_available(spark, small_log, rf_model, history, out, ckpt)
+    metrics = consumer.run_available(spark, small_log, rf_model, history, out, ckpt)
+    sink = spark.read.parquet(out)
+    assert metrics.n_alarms == 600
+    assert sink.count() == 600
+    assert sink.select("alarm_id").distinct().count() == 600
+
+
+def test_timeout_raises(spark, stream_env, rf_model, small_log, tmp_path):
+    """A drain cut short by its timeout is an error, not an empty result."""
+    _l, history, _s, _m, _out, _tmp = stream_env
+    with pytest.raises(TimeoutError):
+        consumer.run_available(
+            spark, small_log, rf_model, history, str(tmp_path / "out"),
+            str(tmp_path / "ckpt"), timeout_s=0.01,
+        )

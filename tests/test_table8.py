@@ -1,5 +1,5 @@
-"""Table 8 harness smoke tests (fast mode; full timings live in
-benchmarks/bench_table8_training.py and jobs/table8.py)."""
+"""Table 8 harness smoke tests (fast mode; full timings come from
+jobs/table8.py)."""
 from __future__ import annotations
 
 import pytest

@@ -1,7 +1,9 @@
-"""Unit-level tests for the throughput harness (full runs in benchmarks)."""
-from __future__ import annotations
+"""Serializer throughput harness (Figure 11).
 
-import pytest
+Consumer throughput is covered by ``tests/test_streaming.py``; timed
+runs are ``jobs/throughput.py`` and ``perfbench/``.
+"""
+from __future__ import annotations
 
 from repro.evaluation import throughput
 
@@ -20,19 +22,3 @@ def test_serializer_direct_beats_reflective():
     )}
     assert res["gsonish"] > res["jacksonish"]
 
-
-def test_end_to_end_smoke(spark, tmp_path):
-    res = throughput.end_to_end(
-        spark,
-        n_alarms=1_500,
-        sf=0.005,
-        n_partitions=2,
-        repartition=4,
-        records_per_segment=500,
-        fast_model=True,
-        workdir=str(tmp_path),
-    )
-    assert res.n_alarms == 1_500
-    assert res.consume_alarms_per_s > 0
-    assert res.produce_records_per_s > 0
-    assert set(res.breakdown) == {"streaming", "history", "ml"}
