@@ -1,9 +1,9 @@
 """Partitioned append-only log: the Kafka substitute (Section 4.2 (1)).
 
 Kafka's essentials, as this application uses them, are: topics split
-into partitions; append-only segments; consumers addressing records by
-(partition, offset); and replayability — the property that gives Spark
-exactly-once semantics when offsets are tracked in a checkpoint.
+into partitions; append-only segments; dense per-partition offsets; and
+replayability — the property that gives Spark exactly-once semantics
+when offsets are tracked in a checkpoint.
 
 This file-backed log preserves all of that on the local filesystem:
 
@@ -12,8 +12,9 @@ This file-backed log preserves all of that on the local filesystem:
 - segments are written atomically (temp file + rename) so a concurrent
   reader — notably Spark's file streaming source pointed at
   ``<root>/partition=*`` — never observes a partial segment;
-- offsets are dense per partition, so a consumer can seek to any
-  committed position and replay deterministically.
+- offsets are dense per partition, and segments are never rewritten,
+  so a consumer that checkpoints which segments it has read (Spark's
+  file source does) replays deterministically.
 
 The paper's "Kafka streams are not partitioned by default" lesson
 (Section 6.2) maps directly: with ``n_partitions=1`` every segment lands
@@ -24,22 +25,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.broker.serializers import GsonishSerializer
 
 _SEGMENT_RE = re.compile(r"segment-(\d{12})-(\d+)\.jsonl$")
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One consumed record with its position."""
-
-    partition: int
-    offset: int
-    value: str
 
 
 class PartitionedLog:
@@ -101,33 +92,19 @@ class PartitionedLog:
                 self.append(p, buf)
         return self.end_offsets()
 
-    # -- consuming ----------------------------------------------------
-    def _segments(self, partition: int) -> list[tuple[int, int, Path]]:
-        segs = []
-        for f in self.partition_dir(partition).iterdir():
-            if m := _SEGMENT_RE.search(f.name):
-                segs.append((int(m.group(1)), int(m.group(2)), f))
-        return sorted(segs)
-
+    # -- offsets -----------------------------------------------------
     def end_offset(self, partition: int) -> int:
         """Next offset to be written in a partition."""
-        segs = self._segments(partition)
+        segs = sorted(
+            (int(m.group(1)), int(m.group(2)))
+            for f in self.partition_dir(partition).iterdir()
+            if (m := _SEGMENT_RE.search(f.name))
+        )
         return segs[-1][0] + segs[-1][1] if segs else 0
 
     def end_offsets(self) -> dict[int, int]:
         """End offset per partition."""
         return {p: self.end_offset(p) for p in range(self.n_partitions)}
-
-    def read(self, partition: int, from_offset: int = 0) -> Iterator[LogRecord]:
-        """Replay a partition from an offset (inclusive)."""
-        for start, count, path in self._segments(partition):
-            if start + count <= from_offset:
-                continue
-            with open(path) as f:
-                for i, line in enumerate(f):
-                    off = start + i
-                    if off >= from_offset:
-                        yield LogRecord(partition, off, line.rstrip("\n"))
 
     def total_records(self) -> int:
         """Total records across all partitions."""

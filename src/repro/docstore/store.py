@@ -63,10 +63,11 @@ class Collection:
     ) -> DataFrame:
         """Per-device daily alarm counts from time ``since`` on.
 
-        This is the batch-component query the consumer issues for every
-        streaming window (Figure 3: "histogram of the number of alarms
-        starting from a specific time t" for the devices that alarmed).
-        Returns device_mac, day, n_alarms.
+        This is the batch-component query of every streaming window
+        (Figure 3: "histogram of the number of alarms starting from a
+        specific time t" for the devices that alarmed); the consumer
+        joins the whole-history result to the window, and ``devices``
+        restricts it to given devices. Returns device_mac, day, n_alarms.
         """
         df = self.find(spark)
         if since is not None:

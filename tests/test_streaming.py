@@ -5,6 +5,7 @@ import pytest
 from pyspark.errors import StreamingQueryException
 from pyspark.sql import functions as F
 
+from repro import oracle
 from repro.broker.log import PartitionedLog
 from repro.core import verifier
 from repro.docstore.store import DocumentStore
@@ -62,6 +63,28 @@ def test_output_carries_history_histogram(stream_env):
     assert out.where(F.col("past_alarms") > 0).count() > 0
 
 
+def test_sink_history_fields_match_duckdb(spark, stream_env):
+    """Each sunk alarm carries its device's whole history: ``past_alarms``
+    is the number of history alarms and ``active_days`` the number of
+    distinct days on which the device alarmed; both 0 without history."""
+    _l, history, _s, _m, out, _tmp = stream_env
+    oracle.assert_equivalent(
+        out.select("alarm_id", "device_mac", "past_alarms", "active_days"),
+        """
+        SELECT s.alarm_id, s.device_mac,
+               coalesce(h.past_alarms, 0) AS past_alarms,
+               coalesce(h.active_days, 0) AS active_days
+        FROM sink s LEFT JOIN (
+            SELECT device_mac, count(*) AS past_alarms,
+                   count(DISTINCT CAST(ts AS DATE)) AS active_days
+            FROM hist GROUP BY device_mac
+        ) h USING (device_mac)
+        """,
+        sink=out.select("alarm_id", "device_mac"),
+        hist=history.find(spark).select("device_mac", "ts"),
+    )
+
+
 def test_streaming_scores_match_batch_scores(spark, stream_env, rf_model):
     """The stream-side model application is the batch transform — same
     alarm, same verification."""
@@ -105,9 +128,11 @@ def test_new_records_after_restart_are_consumed(spark, stream_env, rf_model, sit
 def test_metrics_breakdown_sums_to_one(stream_env):
     _l, _h, _s, metrics, _out, _tmp = stream_env
     b = metrics.breakdown()
-    assert set(b) == {"streaming", "history", "ml"}
+    assert set(b) == {"streaming", "ml"}
     assert sum(b.values()) == pytest.approx(1.0)
     assert metrics.alarms_per_s > 0
+    assert metrics.n_batches >= 1
+    assert metrics.time_streaming_s + metrics.time_ml_s <= metrics.elapsed_s
 
 
 @pytest.fixture()
@@ -119,6 +144,30 @@ def small_log(tmp_path, sitasys_split):
         log, test_df.drop("label").limit(1_000).toPandas(), n_alarms=600, seed=3
     )
     return log
+
+
+def test_one_window_runs_few_spark_jobs(spark, stream_env, rf_model, small_log, tmp_path):
+    """A window is one plan: score, history join and sink in one action.
+    Job ids are sequential, so the call ran the jobs between two sentinel
+    jobs run under a group of their own."""
+    _l, history, _s, _m, _out, _tmp = stream_env
+    sc = spark.sparkContext
+    group = "test-one-window-jobs"
+
+    def sentinel() -> int:
+        sc.setJobGroup(group, "sentinel")
+        sc.parallelize([0], 1).count()
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        return max(sc.statusTracker().getJobIdsForGroup(group))
+
+    before = sentinel()
+    metrics = consumer.run_available(
+        spark, small_log, rf_model, history, str(tmp_path / "out"),
+        str(tmp_path / "ckpt"), repartition=8,
+    )
+    n_jobs = sentinel() - before - 1
+    assert metrics.n_batches == 1
+    assert n_jobs <= 6, f"{n_jobs} Spark jobs for one window"
 
 
 def test_failed_window_is_redelivered(spark, stream_env, rf_model, small_log, tmp_path,
