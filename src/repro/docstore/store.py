@@ -5,20 +5,45 @@ MongoDB and queries them by field (e.g. by device address to build the
 per-device alarm histogram the streaming consumer attaches to each
 verification window). This substitute keeps the same access surface —
 named collections, appending inserts, field-equality finds, a histogram
-helper — over parquet files scanned by Catalyst, which preserves the
-workload shape (filter + aggregate over a long history) on the local
-filesystem. Like MongoDB, collections are schema-flexible across
-inserts: parquet schema merging tolerates added fields between batches
-(the paper's motivation: alarm structure differs across sensor types and
-software updates).
+helper — over parquet part files. ``find`` and ``count`` are Spark scans
+(filter pushdown plays the role of Mongo's indexes). The history queries
+(``device_summary``, ``device_histogram``) read only ``device_mac`` and
+``ts`` from the parts into the driver with ``pyarrow.dataset`` and
+aggregate there, as the paper's MongoDB query also returns its result
+to the driver; that read and aggregate run no Spark job, which is what a
+streaming window pays for its history lookup. Days are UTC days. Like
+MongoDB, collections are schema-flexible across inserts: added fields
+between batches are tolerated (the paper's motivation: alarm structure
+differs across sensor types and software updates).
 """
 from __future__ import annotations
 
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as ds
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import DateType, LongType, StringType, StructField, StructType
+
+HISTOGRAM_SCHEMA = StructType(
+    [
+        StructField("device_mac", StringType()),
+        StructField("day", DateType()),
+        StructField("n_alarms", LongType()),
+    ]
+)
+SUMMARY_SCHEMA = StructType(
+    [
+        StructField("device_mac", StringType()),
+        StructField("past_alarms", LongType()),
+        StructField("active_days", LongType()),
+    ]
+)
+_EMPTY_ALARMS = pa.schema([("device_mac", pa.string()), ("ts", pa.timestamp("us"))])
 
 
 class Collection:
@@ -28,16 +53,21 @@ class Collection:
         self.name = name
         self.path = root / name
 
-    def exists(self) -> bool:
-        """Whether the collection has ever received an insert."""
-        return self.path.exists() and any(self.path.glob("part-*"))
+    def _parts(self) -> list[str]:
+        return sorted(str(p) for p in self.path.glob("part-*"))
 
     def insert_many(self, spark: SparkSession, docs: DataFrame | pd.DataFrame) -> int:
-        """Append documents; returns the number inserted."""
+        """Append documents; returns the number inserted.
+
+        The count comes from the footers of the part files the write
+        added, so the input is not read a second time.
+        """
         df = docs if isinstance(docs, DataFrame) else spark.createDataFrame(docs)
-        n = df.count()
+        before = set(self._parts())
         df.write.mode("append").parquet(str(self.path))
-        return int(n)
+        return sum(
+            pq.ParquetFile(p).metadata.num_rows for p in self._parts() if p not in before
+        )
 
     def find(self, spark: SparkSession, **equals) -> DataFrame:
         """All documents matching the given field-equality predicates.
@@ -55,6 +85,31 @@ class Collection:
         """Number of documents matching the equality predicates."""
         return int(self.find(spark, **equals).count())
 
+    def _alarm_days(self) -> pa.Table:
+        """``device_mac``, ``ts`` and its UTC ``day`` of every stored
+        document, read from the part files in the driver."""
+        parts = self._parts()
+        table = (
+            ds.dataset(parts, format="parquet").to_table(columns=["device_mac", "ts"])
+            if parts
+            else _EMPTY_ALARMS.empty_table()
+        )
+        return table.append_column("day", pc.cast(table["ts"], pa.date32()))
+
+    def device_summary(self) -> pd.DataFrame:
+        """One row per device of the whole history: ``past_alarms``, its
+        number of alarms, and ``active_days``, the distinct days on which
+        it alarmed. This is the batch-component lookup of every streaming
+        window (Figure 3); an empty collection gives no rows."""
+        return (
+            self._alarm_days()
+            .group_by("device_mac")
+            .aggregate([([], "count_all"), ("day", "count_distinct")])
+            .select(["device_mac", "count_all", "day_count_distinct"])
+            .rename_columns(SUMMARY_SCHEMA.names)
+            .to_pandas()
+        )
+
     def device_histogram(
         self,
         spark: SparkSession,
@@ -63,20 +118,24 @@ class Collection:
     ) -> DataFrame:
         """Per-device daily alarm counts from time ``since`` on.
 
-        This is the batch-component query of every streaming window
-        (Figure 3: "histogram of the number of alarms starting from a
-        specific time t" for the devices that alarmed); the consumer
-        joins the whole-history result to the window, and ``devices``
-        restricts it to given devices. Returns device_mac, day, n_alarms.
+        Figure 3's "histogram of the number of alarms starting from a
+        specific time t" for the devices that alarmed; ``devices``
+        restricts it to given devices, and ``since`` is compared on
+        ``ts`` before it is floored to its day. Returns device_mac, day,
+        n_alarms.
         """
-        df = self.find(spark)
+        table = self._alarm_days()
         if since is not None:
-            df = df.where(F.col("ts") >= F.lit(since))
+            table = table.filter(pc.field("ts") >= pd.Timestamp(since))
         if devices is not None:
-            df = df.where(F.col("device_mac").isin(devices))
-        return df.groupBy(
-            "device_mac", F.to_date("ts").alias("day")
-        ).agg(F.count("*").alias("n_alarms"))
+            table = table.filter(pc.field("device_mac").isin(devices))
+        hist = (
+            table.group_by(["device_mac", "day"])
+            .aggregate([([], "count_all")])
+            .select(["device_mac", "day", "count_all"])
+            .rename_columns(HISTOGRAM_SCHEMA.names)
+        )
+        return spark.createDataFrame(hist.to_pandas(), HISTOGRAM_SCHEMA)
 
 
 class DocumentStore:

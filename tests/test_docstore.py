@@ -1,11 +1,12 @@
 """Tests for the MongoDB-substitute document store."""
 from __future__ import annotations
 
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.docstore.store import DocumentStore
+from repro.docstore.store import SUMMARY_SCHEMA, DocumentStore
 from repro.oracle import assert_equivalent
 
 
@@ -102,6 +103,37 @@ def test_device_histogram_since(spark, alarm_store):
         spark, since="2016-03-01"
     )
     assert recent.agg(F.sum("n_alarms")).first()[0] < full.agg(F.sum("n_alarms")).first()[0]
+
+
+def test_device_summary_matches_duckdb_across_schema_drift(store, spark, sitasys_pdf):
+    """The driver-side summary over two inserts, the second of which adds a
+    field (a software update, Section 4.2 (2)) and repeats devices on days
+    they already have: ``active_days`` counts each day once."""
+    col = store.collection("drift")
+    first = sitasys_pdf.head(400)
+    col.insert_many(spark, first)
+    col.insert_many(spark, first.head(100).assign(firmware="v2"))
+    got = col.device_summary()
+    assert (got["past_alarms"] > got["active_days"]).any()
+    con = duckdb.connect()
+    try:
+        expected = con.execute(
+            "SELECT device_mac, count(*) AS past_alarms, "
+            "count(DISTINCT CAST(ts AS DATE)) AS active_days "
+            "FROM read_parquet(?, union_by_name = true) GROUP BY device_mac",
+            [str(col.path / "part-*")],
+        ).fetchdf()
+    finally:
+        con.close()
+    assert_equivalent(spark.createDataFrame(got, SUMMARY_SCHEMA), "SELECT * FROM e", e=expected)
+
+
+def test_history_of_empty_collection(store, spark):
+    never = store.collection("never")
+    got = never.device_summary()
+    assert got.empty
+    assert list(got.columns) == SUMMARY_SCHEMA.names
+    assert never.device_histogram(spark).count() == 0
 
 
 def test_list_collections(store, spark):

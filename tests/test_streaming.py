@@ -128,11 +128,13 @@ def test_new_records_after_restart_are_consumed(spark, stream_env, rf_model, sit
 def test_metrics_breakdown_sums_to_one(stream_env):
     _l, _h, _s, metrics, _out, _tmp = stream_env
     b = metrics.breakdown()
-    assert set(b) == {"streaming", "ml"}
+    assert set(b) == {"streaming", "history", "ml"}
     assert sum(b.values()) == pytest.approx(1.0)
     assert metrics.alarms_per_s > 0
     assert metrics.n_batches >= 1
-    assert metrics.time_streaming_s + metrics.time_ml_s <= metrics.elapsed_s
+    assert metrics.time_history_s > 0
+    assert (metrics.time_streaming_s + metrics.time_history_s + metrics.time_ml_s
+            <= metrics.elapsed_s)
 
 
 @pytest.fixture()
@@ -147,9 +149,10 @@ def small_log(tmp_path, sitasys_split):
 
 
 def test_one_window_runs_few_spark_jobs(spark, stream_env, rf_model, small_log, tmp_path):
-    """A window is one plan: score, history join and sink in one action.
-    Job ids are sequential, so the call ran the jobs between two sentinel
-    jobs run under a group of their own."""
+    """A window is one plan: score, history join and sink in one action;
+    the history is read and aggregated in the driver, not by Spark. Job ids
+    are sequential, so the call ran the jobs between two sentinel jobs run
+    under a group of their own."""
     _l, history, _s, _m, _out, _tmp = stream_env
     sc = spark.sparkContext
     group = "test-one-window-jobs"
@@ -167,7 +170,39 @@ def test_one_window_runs_few_spark_jobs(spark, stream_env, rf_model, small_log, 
     )
     n_jobs = sentinel() - before - 1
     assert metrics.n_batches == 1
-    assert n_jobs <= 6, f"{n_jobs} Spark jobs for one window"
+    assert n_jobs <= 3, f"{n_jobs} Spark jobs for one window"
+
+
+@pytest.mark.parametrize("repartition", [64, 1])
+def test_repartition_is_capped_at_task_slots(spark, stream_env, rf_model, small_log,
+                                             tmp_path, repartition):
+    """More partitions than task slots only add tasks and sink files, so a
+    window writes at most ``defaultParallelism`` files; ``repartition=1``
+    stays the serial path (Section 6.2) with exactly one."""
+    _l, history, _s, _m, _out, _tmp = stream_env
+    out = tmp_path / "out"
+    consumer.run_available(
+        spark, small_log, rf_model, history, str(out), str(tmp_path / "ckpt"),
+        repartition=repartition,
+    )
+    n_files = len(list(out.glob("part-*")))
+    if repartition == 1:
+        assert n_files == 1
+    else:
+        assert 1 <= n_files <= spark.sparkContext.defaultParallelism
+
+
+def test_empty_history_sinks_zeros(spark, rf_model, small_log, tmp_path):
+    """A history that never received an insert gives every alarm
+    ``past_alarms = active_days = 0``."""
+    history = DocumentStore(tmp_path / "db").collection("alarms")
+    out = tmp_path / "out"
+    metrics = consumer.run_available(
+        spark, small_log, rf_model, history, str(out), str(tmp_path / "ckpt"),
+    )
+    sink = spark.read.parquet(str(out))
+    assert metrics.n_alarms == sink.count() == 600
+    assert sink.where((F.col("past_alarms") != 0) | (F.col("active_days") != 0)).count() == 0
 
 
 def test_failed_window_is_redelivered(spark, stream_env, rf_model, small_log, tmp_path,
