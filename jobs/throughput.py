@@ -16,11 +16,12 @@ from pathlib import Path
 from _common import get_spark
 
 from repro.broker.log import PartitionedLog
+from repro.broker.producer import stream_from_test_set
 from repro.core import labeling, verifier
 from repro.datasets import sitasys
 from repro.docstore.store import DocumentStore
 from repro.evaluation import throughput
-from repro.streaming import consumer, producer_sim
+from repro.streaming import consumer
 
 SEED = 11
 # (log partitions, repartition, records per segment). The file source
@@ -35,7 +36,7 @@ def drain(spark, work: Path, name: str, test_pdf, n_alarms: int, vm, history,
           n_partitions: int, repartition: int, records_per_segment: int):
     """Produce ``n_alarms`` test-set alarms into a fresh log and drain it."""
     log = PartitionedLog(work / name / "log", n_partitions)
-    stats = producer_sim.stream_from_test_set(
+    stats = stream_from_test_set(
         log, test_pdf, n_alarms=n_alarms, seed=SEED,
         records_per_segment=records_per_segment,
     )

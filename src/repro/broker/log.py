@@ -9,9 +9,13 @@ This file-backed log preserves all of that on the local filesystem:
 
 - each partition is a directory ``partition=NNNN`` of JSON-lines
   segment files named ``segment-<start_offset>-<count>.jsonl``;
-- segments are written atomically (temp file + rename) so a concurrent
-  reader — notably Spark's file streaming source pointed at
-  ``<root>/partition=*`` — never observes a partial segment;
+- a segment is written to a hidden temp file (``.segment-….tmp``, which
+  Spark's file source skips) and published by a hard link to its final
+  name, so a concurrent reader — notably Spark's file streaming source
+  pointed at ``<root>/partition=*`` — never observes an unpublished
+  segment, and a segment another writer already published is never
+  replaced (``append`` raises ``FileExistsError``; Spark remembers files
+  by path, so replaced lines would never be read);
 - offsets are dense per partition, and segments are never rewritten,
   so a consumer that checkpoints which segments it has read (Spark's
   file source does) replays deterministically.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -54,15 +59,19 @@ class PartitionedLog:
 
     # -- producing ----------------------------------------------------
     def append(self, partition: int, lines: list[str]) -> int:
-        """Atomically append one segment; returns the new end offset."""
+        """Atomically append one segment; returns the new end offset.
+        Raises ``FileExistsError`` if that segment is already published."""
         start = self.end_offset(partition)
         final = self.partition_dir(partition) / f"segment-{start:012d}-{len(lines)}.jsonl"
-        tmp = final.with_suffix(".tmp")
-        with open(tmp, "w") as f:
-            f.write("\n".join(lines))
-            if lines:
-                f.write("\n")
-        os.replace(tmp, final)
+        fd, tmp = tempfile.mkstemp(prefix=f".{final.name}.", suffix=".tmp", dir=final.parent)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write("\n".join(lines))
+                if lines:
+                    f.write("\n")
+            os.link(tmp, final)
+        finally:
+            os.unlink(tmp)
         return start + len(lines)
 
     def write(
@@ -78,16 +87,15 @@ class PartitionedLog:
         latency with which a streaming consumer sees new data.
         """
         serializer = serializer or GsonishSerializer()
-        buffers: dict[int, list[str]] = {p: [] for p in range(self.n_partitions)}
-        next_p = 0
-        for rec in records:
-            buffers[next_p].append(serializer.dumps(rec))
-            next_p = (next_p + 1) % self.n_partitions
-            if len(buffers[(next_p - 1) % self.n_partitions]) >= records_per_segment:
-                full = (next_p - 1) % self.n_partitions
-                self.append(full, buffers[full])
-                buffers[full] = []
-        for p, buf in buffers.items():
+        n = self.n_partitions
+        buffers: list[list[str]] = [[] for _ in range(n)]
+        for i, rec in enumerate(records):
+            p = i % n
+            buffers[p].append(serializer.dumps(rec))
+            if len(buffers[p]) >= records_per_segment:
+                self.append(p, buffers[p])
+                buffers[p] = []
+        for p, buf in enumerate(buffers):
             if buf:
                 self.append(p, buf)
         return self.end_offsets()

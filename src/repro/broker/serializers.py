@@ -16,7 +16,7 @@ precompiled direct path. Both emit interchangeable JSON;
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -129,8 +129,3 @@ class JacksonishSerializer:
 
 
 SERIALIZERS = {s.name: s for s in (GsonishSerializer(), JacksonishSerializer())}
-
-
-def serialize_all(records: Iterable[dict[str, Any]], serializer) -> list[str]:
-    """Serialize a batch of records to JSON lines."""
-    return [serializer.dumps(r) for r in records]

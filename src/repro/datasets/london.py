@@ -119,8 +119,3 @@ def generate(spark: SparkSession, *, sf: float = 1.0, seed: int = 23) -> DataFra
     pdf = generate_pandas(sf=sf, seed=seed)
     pdf["duration_s"] = np.where(pdf["incident_group"] == "False Alarm", 0.0, 3600.0)
     return spark.createDataFrame(pdf)
-
-
-FEATURE_COLS = [
-    "zip_code", "day_of_week", "hour_of_day", "property_category", "property_type",
-]

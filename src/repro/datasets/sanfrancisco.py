@@ -154,6 +154,3 @@ def generate(
     elif subset != "raw":
         raise ValueError(f"unknown subset {subset!r}")
     return spark.createDataFrame(pdf)
-
-
-FEATURE_COLS = ["zip_code", "day_of_week", "hour_of_day", "call_type"]

@@ -283,22 +283,3 @@ def generate(
     return spark.createDataFrame(
         generate_pandas(sf=sf, seed=seed, basel_exact=basel_exact)
     )
-
-
-FEATURE_COLS = [
-    "zip_code",
-    "day_of_week",
-    "hour_of_day",
-    "alarm_type",
-    "object_type",
-    "sensor_type",
-    "sw_version",
-    "fault_code",
-]
-GENERIC_FEATURE_COLS = [
-    "zip_code",
-    "day_of_week",
-    "hour_of_day",
-    "alarm_type",
-    "object_type",
-]

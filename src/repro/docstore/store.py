@@ -10,11 +10,12 @@ helper — over parquet part files. ``find`` and ``count`` are Spark scans
 (``device_summary``, ``device_histogram``) read only ``device_mac`` and
 ``ts`` from the parts into the driver with ``pyarrow.dataset`` and
 aggregate there, as the paper's MongoDB query also returns its result
-to the driver; that read and aggregate run no Spark job, which is what a
-streaming window pays for its history lookup. Days are UTC days. Like
-MongoDB, collections are schema-flexible across inserts: added fields
-between batches are tolerated (the paper's motivation: alarm structure
-differs across sensor types and software updates).
+to the driver, then hand the small result to Spark as a DataFrame; that
+read and aggregate run no Spark job, which is what a streaming window
+pays for its history lookup. Days are UTC days. Like MongoDB,
+collections are schema-flexible across inserts: added fields between
+batches are tolerated (the paper's motivation: alarm structure differs
+across sensor types and software updates).
 """
 from __future__ import annotations
 
@@ -96,19 +97,19 @@ class Collection:
         )
         return table.append_column("day", pc.cast(table["ts"], pa.date32()))
 
-    def device_summary(self) -> pd.DataFrame:
+    def device_summary(self, spark: SparkSession) -> DataFrame:
         """One row per device of the whole history: ``past_alarms``, its
         number of alarms, and ``active_days``, the distinct days on which
         it alarmed. This is the batch-component lookup of every streaming
         window (Figure 3); an empty collection gives no rows."""
-        return (
+        summary = (
             self._alarm_days()
             .group_by("device_mac")
             .aggregate([([], "count_all"), ("day", "count_distinct")])
             .select(["device_mac", "count_all", "day_count_distinct"])
             .rename_columns(SUMMARY_SCHEMA.names)
-            .to_pandas()
         )
+        return spark.createDataFrame(summary.to_pandas(), SUMMARY_SCHEMA)
 
     def device_histogram(
         self,
@@ -148,7 +149,3 @@ class DocumentStore:
     def collection(self, name: str) -> Collection:
         """Handle to a (possibly not yet created) collection."""
         return Collection(self.root, name)
-
-    def list_collections(self) -> list[str]:
-        """Names of collections that have received inserts."""
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())

@@ -7,16 +7,16 @@ looks up each device's histogram of past alarms in the alarm history
 true/false with a probability from the offline-trained model.
 
 Here each window, run in ``foreachBatch``, first reads the per-device
-history summary into the driver (``Collection.device_summary``: the
+history summary through the driver (``Collection.device_summary``: the
 paper's MongoDB query also returns to the driver), then runs one Spark
 plan: the parsed batch is scored, left-joined with the broadcast summary
 and appended to the parquet sink in one action; the join itself picks
 the devices that alarmed, so there is no device extraction step. The
 stream is Structured Streaming over the partitioned file log (the modern
-successor of the paper's Direct DStreams); exactly-once comes from the
-replayable source plus the checkpoint. Spark's timings are read from the
-query's own ``StreamingQueryProgress``; the driver-side history read is
-timed by the handle.
+successor of the paper's Direct DStreams), which shows it only published
+segments; exactly-once comes from the replayable source plus the
+checkpoint. Spark's timings are read from the query's own
+``StreamingQueryProgress``; the history read is timed by the handle.
 
 The paper's key scalability lesson — an unpartitioned Kafka stream is
 consumed serially; repartitioning restores parallelism (Section 6.2) —
@@ -39,7 +39,7 @@ from pyspark.sql.types import (
 
 from repro.broker.log import PartitionedLog
 from repro.core import verifier
-from repro.docstore.store import SUMMARY_SCHEMA, Collection
+from repro.docstore.store import Collection
 
 ALARM_STREAM_SCHEMA = StructType(
     [
@@ -103,11 +103,6 @@ class ConsumerMetrics:
         return {k: v / total for k, v in parts.items()}
 
 
-def read_stream(spark: SparkSession, log: PartitionedLog) -> DataFrame:
-    """The alarm stream as a streaming DataFrame over the log directory."""
-    return spark.readStream.schema(ALARM_STREAM_SCHEMA).json(log.glob_path())
-
-
 def run_available(
     spark: SparkSession,
     log: PartitionedLog,
@@ -133,7 +128,7 @@ def run_available(
     def handle(batch_df: DataFrame, _batch_id: int) -> None:
         batch = batch_df.repartition(min(repartition, slots)) if repartition else batch_df
         t0 = time.perf_counter()
-        hist = spark.createDataFrame(history.device_summary(), SUMMARY_SCHEMA)
+        hist = history.device_summary(spark)
         history_s.append(time.perf_counter() - t0)
         (
             verifier.verify(vm, batch)
@@ -144,7 +139,7 @@ def run_available(
 
     t_start = time.perf_counter()
     query = (
-        read_stream(spark, log)
+        spark.readStream.schema(ALARM_STREAM_SCHEMA).json(log.glob_path())
         .writeStream.foreachBatch(handle)
         .option("checkpointLocation", checkpoint_dir)
         .trigger(availableNow=True)

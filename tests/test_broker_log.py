@@ -1,6 +1,8 @@
 """Tests for the partitioned log (Kafka substitute)."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.broker.log import PartitionedLog
@@ -52,7 +54,7 @@ def test_segment_size_bounds_files(log):
 
 
 def test_no_partial_segments_visible(log):
-    # Atomic rename: no .tmp files remain after append.
+    # Every temp file is removed once its segment is published.
     log.write(_records(50))
     for p in range(4):
         assert not list(log.partition_dir(p).glob("*.tmp"))
@@ -77,3 +79,80 @@ def test_single_partition_serial_layout(tmp_path):
 
 def test_glob_path_matches_partitions(log):
     assert log.glob_path().endswith("partition=*")
+
+
+def test_write_layout_is_round_robin_per_segment(log):
+    """Record ``i`` goes to partition ``i % 4``; each partition cuts a
+    segment every 5 of its records, named by start offset and count."""
+    log.write(_records(45), records_per_segment=5)
+    ser = GsonishSerializer()
+    expected = {
+        0: {
+            "segment-000000000000-5.jsonl": [0, 4, 8, 12, 16],
+            "segment-000000000005-5.jsonl": [20, 24, 28, 32, 36],
+            "segment-000000000010-2.jsonl": [40, 44],
+        },
+        1: {
+            "segment-000000000000-5.jsonl": [1, 5, 9, 13, 17],
+            "segment-000000000005-5.jsonl": [21, 25, 29, 33, 37],
+            "segment-000000000010-1.jsonl": [41],
+        },
+        2: {
+            "segment-000000000000-5.jsonl": [2, 6, 10, 14, 18],
+            "segment-000000000005-5.jsonl": [22, 26, 30, 34, 38],
+            "segment-000000000010-1.jsonl": [42],
+        },
+        3: {
+            "segment-000000000000-5.jsonl": [3, 7, 11, 15, 19],
+            "segment-000000000005-5.jsonl": [23, 27, 31, 35, 39],
+            "segment-000000000010-1.jsonl": [43],
+        },
+    }
+    for p, segments in expected.items():
+        got = {
+            f.name: [ser.loads(line)["alarm_id"] for line in f.read_text().splitlines()]
+            for f in log.partition_dir(p).iterdir()
+        }
+        assert got == segments
+
+
+def test_unpublished_segment_invisible_to_spark(spark, log, monkeypatch):
+    """Section 4.2: a reader listing the log while a segment is written
+    sees only published segments. The publish step (whichever call does
+    it) runs the readers and then fails, so the segment never appears."""
+    log.write(_records(8))
+    schema = "alarm_id LONG, zip_code STRING, duration_s DOUBLE"
+    seen = []
+
+    def read_then_fail(_src, _dst):
+        batch = spark.read.schema(schema).json(log.glob_path())
+        stream = (
+            spark.readStream.schema(schema).json(log.glob_path())
+            .writeStream.format("memory").queryName("log_during_publish")
+            .trigger(availableNow=True).start()
+        )
+        stream.awaitTermination()
+        for df in (batch, spark.table("log_during_publish")):
+            seen.append(sorted(r.alarm_id for r in df.select("alarm_id").collect()))
+        raise OSError("injected publish failure")
+
+    monkeypatch.setattr(os, "link", read_then_fail)
+    monkeypatch.setattr(os, "replace", read_then_fail)
+    ser = GsonishSerializer()
+    with pytest.raises(OSError, match="injected publish failure"):
+        log.append(2, [ser.dumps(r) for r in _records(110)[100:]])
+    assert seen == [list(range(8))] * 2
+    assert log.total_records() == 8
+
+
+def test_publish_never_replaces_a_segment(log, monkeypatch):
+    """A writer with a stale end offset must not overwrite a segment that
+    is already published: Spark remembers files by path, so replaced
+    lines would never be read."""
+    log.append(1, ["a", "b"])
+    (first,) = log.partition_dir(1).iterdir()
+    monkeypatch.setattr(log, "end_offset", lambda _partition: 0)
+    with pytest.raises(FileExistsError):
+        log.append(1, ["x", "y"])
+    assert first.read_bytes() == b"a\nb\n"
+    assert list(log.partition_dir(1).iterdir()) == [first]

@@ -57,12 +57,6 @@ def test_alarm_payload_under_1kb(sitasys_pdf):
         assert len(ser.dumps(rec).encode()) < 1024
 
 
-def test_serialize_all_batch():
-    lines = serializers.serialize_all([RECORD] * 5, serializers.SERIALIZERS["gsonish"])
-    assert len(lines) == 5
-    assert all(l == lines[0] for l in lines)
-
-
 def test_gsonish_faster_than_jacksonish(sitasys_pdf):
     """The paper's bottleneck finding: the direct serializer beats the
     reflective one on small alarm objects."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.features import SPECS
 from repro.datasets import london
 from repro.oracle import assert_equivalent
 
@@ -51,7 +52,7 @@ def test_incident_groups(london_pdf):
 
 def test_generic_features_only():
     # Table 1: London exposes no sensor-specific columns.
-    assert set(london.FEATURE_COLS) == {
+    assert set(SPECS["london"].input_cols) == {
         "zip_code", "day_of_week", "hour_of_day",
         "property_category", "property_type",
     }

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.features import SPECS
 from repro.datasets import sanfrancisco as sfd
 
 
@@ -30,7 +31,7 @@ def test_deterministic():
 def test_no_property_type_column(sf_pdf):
     # Table 1: SF has no property-type information at all.
     assert not any("property" in c for c in sf_pdf.columns)
-    assert "property_type" not in sfd.FEATURE_COLS
+    assert not any("property" in c for c in SPECS["sf"].input_cols)
 
 
 def test_more_than_half_unlabeled(sf_pdf):

@@ -7,9 +7,10 @@ from pyspark.sql import functions as F
 
 from repro import oracle
 from repro.broker.log import PartitionedLog
+from repro.broker.producer import stream_from_test_set
 from repro.core import verifier
 from repro.docstore.store import DocumentStore
-from repro.streaming import consumer, producer_sim
+from repro.streaming import consumer
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def stream_env(tmp_path_factory, spark, sitasys_split, rf_model):
     history.insert_many(spark, train_df)
     log = PartitionedLog(tmp / "log", n_partitions=4)
     test_pdf = test_df.drop("label").toPandas()
-    stats = producer_sim.stream_from_test_set(log, test_pdf, n_alarms=3_000, seed=5)
+    stats = stream_from_test_set(log, test_pdf, n_alarms=3_000, seed=5)
     metrics = consumer.run_available(
         spark, log, rf_model, history, str(tmp / "out"), str(tmp / "ckpt"),
         repartition=8,
@@ -116,7 +117,7 @@ def test_restart_does_not_reprocess(spark, stream_env, rf_model):
 def test_new_records_after_restart_are_consumed(spark, stream_env, rf_model, sitasys_split):
     log, history, _s, _m, _out, tmp = stream_env
     _train, test_df = sitasys_split
-    producer_sim.stream_from_test_set(
+    stream_from_test_set(
         log, test_df.drop("label").limit(500).toPandas(), n_alarms=200, seed=9
     )
     metrics3 = consumer.run_available(
@@ -142,7 +143,7 @@ def small_log(tmp_path, sitasys_split):
     """A fresh 600-alarm, 2-partition log."""
     _train, test_df = sitasys_split
     log = PartitionedLog(tmp_path / "log", n_partitions=2)
-    producer_sim.stream_from_test_set(
+    stream_from_test_set(
         log, test_df.drop("label").limit(1_000).toPandas(), n_alarms=600, seed=3
     )
     return log
