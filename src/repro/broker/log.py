@@ -13,9 +13,13 @@ This file-backed log preserves all of that on the local filesystem:
   Spark's file source skips) and published by a hard link to its final
   name, so a concurrent reader — notably Spark's file streaming source
   pointed at ``<root>/partition=*`` — never observes an unpublished
-  segment, and a segment another writer already published is never
-  replaced (``append`` raises ``FileExistsError``; Spark remembers files
-  by path, so replaced lines would never be read);
+  segment;
+- appends to one partition hold an advisory lock (``flock``) on its
+  directory while they pick the start offset and publish, and a
+  partition never gets a second segment at a start offset it already
+  has (``append`` raises ``FileExistsError``): Spark remembers files by
+  path, so replaced lines would never be read, and two segments at one
+  start offset would give two records the same offset;
 - offsets are dense per partition, and segments are never rewritten,
   so a consumer that checkpoints which segments it has read (Spark's
   file source does) replays deterministically.
@@ -27,6 +31,7 @@ restores parallelism.
 """
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 import tempfile
@@ -60,16 +65,24 @@ class PartitionedLog:
     # -- producing ----------------------------------------------------
     def append(self, partition: int, lines: list[str]) -> int:
         """Atomically append one segment; returns the new end offset.
-        Raises ``FileExistsError`` if that segment is already published."""
-        start = self.end_offset(partition)
-        final = self.partition_dir(partition) / f"segment-{start:012d}-{len(lines)}.jsonl"
-        fd, tmp = tempfile.mkstemp(prefix=f".{final.name}.", suffix=".tmp", dir=final.parent)
+        Raises ``FileExistsError`` if a segment at its start offset is
+        already published."""
+        pdir = self.partition_dir(partition)
+        fd, tmp = tempfile.mkstemp(prefix=".segment-", suffix=".tmp", dir=pdir)
         try:
             with os.fdopen(fd, "w") as f:
                 f.write("\n".join(lines))
                 if lines:
                     f.write("\n")
-            os.link(tmp, final)
+            lock = os.open(pdir, os.O_RDONLY)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                start = self.end_offset(partition)
+                if any(pdir.glob(f"segment-{start:012d}-*.jsonl")):
+                    raise FileExistsError(f"{pdir} already has a segment at offset {start}")
+                os.link(tmp, pdir / f"segment-{start:012d}-{len(lines)}.jsonl")
+            finally:
+                os.close(lock)  # releases the lock
         finally:
             os.unlink(tmp)
         return start + len(lines)

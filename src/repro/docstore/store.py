@@ -16,6 +16,14 @@ pays for its history lookup. Days are UTC days. Like MongoDB,
 collections are schema-flexible across inserts: added fields between
 batches are tolerated (the paper's motivation: alarm structure differs
 across sensor types and software updates).
+
+Spark writes the parts with the ``LOCAL_FS_CONF`` settings. Without the
+native ``libhadoop`` (pip-installed PySpark ships none) Hadoop's local
+file system forks a ``chmod`` process for every file and directory it
+creates. Its default, checksummed variant also writes a ``.crc`` file
+beside every file; the raw variant writes none, and with the committer's
+``_SUCCESS`` marker also left out an insert creates 5 files and
+directories instead of 8.
 """
 from __future__ import annotations
 
@@ -45,6 +53,21 @@ SUMMARY_SCHEMA = StructType(
     ]
 )
 _EMPTY_ALARMS = pa.schema([("device_mac", pa.string()), ("ts", pa.timestamp("us"))])
+# Spark settings that cut the files, and so the forks, each write creates.
+# Hadoop caches file systems by scheme and ignores a changed
+# ``fs.file.impl`` unless the cache is off. The committer's ``_SUCCESS``
+# marker is one more file per write, and nothing reads it. The streaming
+# checkpoint writes through ``FileContext`` unless its manager is the
+# ``FileSystem``-based one; a query reads that key from its session's conf
+# when it starts, and a batch write ignores it.
+LOCAL_FS_CONF = {
+    "fs.file.impl": "org.apache.hadoop.fs.RawLocalFileSystem",
+    "fs.file.impl.disable.cache": "true",
+    "mapreduce.fileoutputcommitter.marksuccessfuljobs": "false",
+    "spark.sql.streaming.checkpointFileManagerClass":
+        "org.apache.spark.sql.execution.streaming.checkpointing."
+        "FileSystemBasedCheckpointFileManager",
+}
 
 
 class Collection:
@@ -65,7 +88,7 @@ class Collection:
         """
         df = docs if isinstance(docs, DataFrame) else spark.createDataFrame(docs)
         before = set(self._parts())
-        df.write.mode("append").parquet(str(self.path))
+        df.write.options(**LOCAL_FS_CONF).mode("append").parquet(str(self.path))
         return sum(
             pq.ParquetFile(p).metadata.num_rows for p in self._parts() if p not in before
         )
@@ -109,7 +132,7 @@ class Collection:
             .select(["device_mac", "count_all", "day_count_distinct"])
             .rename_columns(SUMMARY_SCHEMA.names)
         )
-        return spark.createDataFrame(summary.to_pandas(), SUMMARY_SCHEMA)
+        return spark.createDataFrame(summary, SUMMARY_SCHEMA)
 
     def device_histogram(
         self,
@@ -136,7 +159,7 @@ class Collection:
             .select(["device_mac", "day", "count_all"])
             .rename_columns(HISTOGRAM_SCHEMA.names)
         )
-        return spark.createDataFrame(hist.to_pandas(), HISTOGRAM_SCHEMA)
+        return spark.createDataFrame(hist, HISTOGRAM_SCHEMA)
 
 
 class DocumentStore:

@@ -20,11 +20,20 @@ checkpoint. Spark's timings are read from the query's own
 
 The paper's key scalability lesson — an unpartitioned Kafka stream is
 consumed serially; repartitioning restores parallelism (Section 6.2) —
-maps to the ``repartition`` knob: the file source's parallelism follows
-the segment-file layout, and an explicit repartition spreads scoring
-across the session's task slots. More partitions than slots only add
-tasks and sink files, so the repartition is capped at
-``defaultParallelism``; ``repartition=1`` keeps the serial path.
+maps to the ``repartition`` knob. The file source already splits a
+window into about one scan partition per task slot (a 100 K-alarm drain
+and a 1.1 K-alarm window alike), so ``repartition=n`` only narrows a
+window to ``min(n, defaultParallelism)`` partitions with ``coalesce``
+and never shuffles; ``repartition=1`` runs the whole window, parse
+included, on one task: the serial path.
+
+Every window creates files: offset, commit and source-log entries in
+the checkpoint, and the sink's parts and committer directories, each
+with a forked ``chmod`` (see ``repro.docstore.store``). A call therefore
+runs with the store's ``LOCAL_FS_CONF`` on the session: none of these
+files gets a ``.crc`` checksum file beside it and the sink gets no
+``_SUCCESS`` marker, so a first call on a fresh checkpoint forks 19
+``chmod`` processes instead of 28.
 """
 from __future__ import annotations
 
@@ -39,7 +48,7 @@ from pyspark.sql.types import (
 
 from repro.broker.log import PartitionedLog
 from repro.core import verifier
-from repro.docstore.store import Collection
+from repro.docstore.store import LOCAL_FS_CONF, Collection
 
 ALARM_STREAM_SCHEMA = StructType(
     [
@@ -118,15 +127,21 @@ def run_available(
 
     Returns throughput metrics; the verifications (alarm, verification,
     confidence, history histogram) land in ``out_dir`` as parquet.
-    ``repartition=n`` spreads each window over ``min(n, defaultParallelism)``
-    tasks; ``None`` keeps the file source's partitioning.
+    ``repartition=n`` narrows each window to ``min(n, defaultParallelism)``
+    partitions without a shuffle; ``None`` keeps the file source's
+    partitioning.
+
+    The session holds ``LOCAL_FS_CONF`` for the whole call, and the
+    caller's values are restored when it returns or raises: the query
+    copies the session's conf when it starts, but Spark builds the file
+    source's metadata log later, from the caller's session.
     """
 
     slots = spark.sparkContext.defaultParallelism
     history_s: list[float] = []
 
     def handle(batch_df: DataFrame, _batch_id: int) -> None:
-        batch = batch_df.repartition(min(repartition, slots)) if repartition else batch_df
+        batch = batch_df.coalesce(min(repartition, slots)) if repartition else batch_df
         t0 = time.perf_counter()
         hist = history.device_summary(spark)
         history_s.append(time.perf_counter() - t0)
@@ -137,22 +152,32 @@ def run_available(
             .write.mode("append").parquet(out_dir)
         )
 
-    t_start = time.perf_counter()
-    query = (
-        spark.readStream.schema(ALARM_STREAM_SCHEMA).json(log.glob_path())
-        .writeStream.foreachBatch(handle)
-        .option("checkpointLocation", checkpoint_dir)
-        .trigger(availableNow=True)
-        .start()
-    )
-    query.awaitTermination(timeout_s)
-    metrics = ConsumerMetrics.from_progress(
-        query.recentProgress, time.perf_counter() - t_start, sum(history_s)
-    )
-    if query.isActive:
-        query.stop()
-        raise TimeoutError(
-            f"log not drained within {timeout_s} s "
-            f"({metrics.n_alarms} alarms in {metrics.n_batches} batches)"
+    saved = {key: spark.conf.get(key, None) for key in LOCAL_FS_CONF}
+    for key, value in LOCAL_FS_CONF.items():
+        spark.conf.set(key, value)
+    try:
+        t_start = time.perf_counter()
+        query = (
+            spark.readStream.schema(ALARM_STREAM_SCHEMA).json(log.glob_path())
+            .writeStream.foreachBatch(handle)
+            .option("checkpointLocation", checkpoint_dir)
+            .trigger(availableNow=True)
+            .start()
         )
+        query.awaitTermination(timeout_s)
+        metrics = ConsumerMetrics.from_progress(
+            query.recentProgress, time.perf_counter() - t_start, sum(history_s)
+        )
+        if query.isActive:
+            query.stop()
+            raise TimeoutError(
+                f"log not drained within {timeout_s} s "
+                f"({metrics.n_alarms} alarms in {metrics.n_batches} batches)"
+            )
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, value)
     return metrics

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import os
+import re
+import sys
+import threading
 
 import pytest
 
@@ -156,3 +159,53 @@ def test_publish_never_replaces_a_segment(log, monkeypatch):
         log.append(1, ["x", "y"])
     assert first.read_bytes() == b"a\nb\n"
     assert list(log.partition_dir(1).iterdir()) == [first]
+
+
+def test_one_segment_per_start_offset(log, monkeypatch):
+    """Two writers that both read end offset 0 must not both publish, even
+    with different counts: the second segment's records would share
+    offsets with the first's."""
+    log.append(0, ["a", "b"])
+    (first,) = log.partition_dir(0).iterdir()
+    with monkeypatch.context() as m:
+        m.setattr(log, "end_offset", lambda _partition: 0)
+        with pytest.raises(FileExistsError):
+            log.append(0, ["x"])
+    assert list(log.partition_dir(0).iterdir()) == [first]
+    assert log.end_offset(0) == 2
+
+
+def test_concurrent_appends_tile_offsets(tmp_path):
+    """Writers appending to one partition at once get dense, disjoint
+    offsets: every segment starts where the one before it ends."""
+    log = PartitionedLog(tmp_path / "log", n_partitions=1)
+    sizes = [[1 + (w + i) % 4 for i in range(25)] for w in range(8)]
+    errors = []
+
+    def writer(counts):
+        try:
+            for n in counts:
+                log.append(0, ["x"] * n)
+        except OSError as e:  # reported by the assertion below
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(c,)) for c in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    segments = sorted(
+        (int(m.group(1)), int(m.group(2)))
+        for f in log.partition_dir(0).iterdir()
+        if (m := re.fullmatch(r"segment-(\d+)-(\d+)\.jsonl", f.name))
+    )
+    ends = [start + n for start, n in segments]
+    assert [start for start, _ in segments] == [0, *ends[:-1]]
+    assert ends[-1] == sum(map(sum, sizes))

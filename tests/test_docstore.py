@@ -33,6 +33,15 @@ def test_insert_pandas_frame(store, spark):
     assert store.collection("p").count(spark) == 3
 
 
+def test_insert_writes_no_checksum_files(store, spark, sitasys_df):
+    """Parts are written through the raw local file system, which keeps no
+    ``.crc`` file beside each part (nor forks a ``chmod`` to create one)."""
+    col = store.collection("a")
+    col.insert_many(spark, sitasys_df.limit(100))
+    assert list(col.path.glob("part-*"))
+    assert list(col.path.rglob("*.crc")) == []
+
+
 def test_append_semantics(store, spark, sitasys_df):
     col = store.collection("a")
     col.insert_many(spark, sitasys_df.limit(50))

@@ -9,7 +9,7 @@ from repro import oracle
 from repro.broker.log import PartitionedLog
 from repro.broker.producer import stream_from_test_set
 from repro.core import verifier
-from repro.docstore.store import DocumentStore
+from repro.docstore.store import LOCAL_FS_CONF, DocumentStore
 from repro.streaming import consumer
 
 
@@ -220,11 +220,13 @@ def test_failed_window_is_redelivered(spark, stream_env, rf_model, small_log, tm
         m.setattr(verifier, "verify", fail)
         with pytest.raises(StreamingQueryException):
             consumer.run_available(spark, small_log, rf_model, history, out, ckpt)
+    assert all(spark.conf.get(key, None) is None for key in LOCAL_FS_CONF)
     metrics = consumer.run_available(spark, small_log, rf_model, history, out, ckpt)
     sink = spark.read.parquet(out)
     assert metrics.n_alarms == 600
     assert sink.count() == 600
     assert sink.select("alarm_id").distinct().count() == 600
+    assert all(spark.conf.get(key, None) is None for key in LOCAL_FS_CONF)
 
 
 def test_timeout_raises(spark, stream_env, rf_model, small_log, tmp_path):
@@ -235,3 +237,14 @@ def test_timeout_raises(spark, stream_env, rf_model, small_log, tmp_path):
             spark, small_log, rf_model, history, str(tmp_path / "out"),
             str(tmp_path / "ckpt"), timeout_s=0.01,
         )
+    assert all(spark.conf.get(key, None) is None for key in LOCAL_FS_CONF)
+
+
+def test_call_writes_no_checksum_files(spark, stream_env, rf_model, small_log, tmp_path):
+    """A call creates its checkpoint, source log and sink files through the
+    raw local file system, which writes no ``.crc`` file beside each."""
+    _l, history, _s, _m, _out, _tmp = stream_env
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt"
+    consumer.run_available(spark, small_log, rf_model, history, str(out), str(ckpt))
+    assert list((ckpt / "sources").rglob("*")) and list(out.glob("part-*"))
+    assert sorted(p for d in (ckpt, out) for p in d.rglob("*.crc")) == []

@@ -1,10 +1,12 @@
 """Tests for the verification service (train / verify / accuracy)."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import labeling, verifier
+from repro.core import labeling, models, verifier
 
 
 def test_split_is_half_half(spark, sitasys_df):
@@ -90,3 +92,31 @@ def test_train_on_prelabeled_frame(spark, sitasys_split):
     train_df, test_df = sitasys_split
     vm = verifier.train(train_df, algo="lr", dataset="sitasys", fast=True)
     assert verifier.accuracy(vm, test_df) > 0.6
+
+
+@pytest.mark.parametrize("algo", models.ALGORITHMS)
+def test_verify_matches_pyspark_transform(rf_model, sitasys_split, algo):
+    """``verify`` scores through the fitted JVM pipeline in one call; each
+    alarm gets the prediction of PySpark's ``PipelineModel.transform``, its
+    verdict, and the confidence computed from that transform's output."""
+    train_df, test_df = sitasys_split
+    vm = rf_model if algo == "rf" else verifier.train(
+        train_df, algo=algo, dataset="sitasys", fast=True)
+    scored = vm.model.transform(test_df)
+    vec = "probability" if "probability" in scored.columns else "rawPrediction"
+    expected = {}
+    for r in scored.select("alarm_id", "prediction", vec).collect():
+        v = r[vec].toArray()
+        conf = max(v) if vec == "probability" else 1 / (1 + math.exp(-abs(v[1])))
+        expected[r.alarm_id] = (r.prediction, r.prediction == 1.0, conf)
+    got = {
+        r.alarm_id: (r.prediction, r.verification, r.confidence)
+        for r in verifier.verify(vm, test_df)
+        .select("alarm_id", "prediction", verifier.VERIFICATION_COL, verifier.CONFIDENCE_COL)
+        .collect()
+    }
+    assert got.keys() == expected.keys()
+    ids = sorted(expected)
+    assert [got[i][:2] for i in ids] == [expected[i][:2] for i in ids]
+    assert [got[i][2] for i in ids] == pytest.approx([expected[i][2] for i in ids],
+                                                     rel=1e-12)
