@@ -20,7 +20,7 @@ def main() -> None:
     spark = get_spark("table2")
     alarms = sitasys.generate(spark, sf=args.sf, basel_exact=True)
     incidents = table9.incident_history(spark)
-    out = table2.compute(spark, alarms, incidents)
+    out = table2.compute(alarms, incidents)
     print("Table 2: true alarms per Basel ZIP vs city-level incident reports")
     print(out.to_string(index=False, na_rep="[unknown]"))
     spark.stop()

@@ -66,14 +66,15 @@ class PartitionedLog:
     def append(self, partition: int, lines: list[str]) -> int:
         """Atomically append one segment; returns the new end offset.
         Raises ``FileExistsError`` if a segment at its start offset is
-        already published."""
+        already published. No lines publish no segment: an empty one
+        would hold the start offset that the next append needs."""
+        if not lines:
+            return self.end_offset(partition)
         pdir = self.partition_dir(partition)
         fd, tmp = tempfile.mkstemp(prefix=".segment-", suffix=".tmp", dir=pdir)
         try:
             with os.fdopen(fd, "w") as f:
-                f.write("\n".join(lines))
-                if lines:
-                    f.write("\n")
+                f.write("\n".join(lines) + "\n")
             lock = os.open(pdir, os.O_RDONLY)
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX)

@@ -94,12 +94,6 @@ def with_risk(
 
 
 SCENARIOS = ("a", "b", "c", "d")
-SCENARIO_DESCRIPTIONS = {
-    "a": "all locations, all alarm types",
-    "b": "all locations, only fire & intrusion alarms",
-    "c": "single ZIP code locations, all alarm types",
-    "d": "single ZIP code locations, only fire & intrusion alarms",
-}
 
 
 def scenario_filter(alarms_with_city: DataFrame, factors: DataFrame, scenario: str) -> DataFrame:

@@ -40,9 +40,9 @@ class VerificationModel:
         """The fitted pipeline as one JVM ``PipelineModel``, built once.
 
         PySpark's ``PipelineModel.transform`` sends every stage's params
-        to the JVM again on each call, so building one ``verify`` plan of
-        the fast RF took 174 py4j round trips; the JVM pipeline holds the
-        same stage objects and transforms in one, and the plan takes 68."""
+        to the JVM again on each call; the JVM pipeline holds the same
+        stage objects and transforms in one call, so building one
+        ``verify`` plan of the fast RF takes 68 py4j round trips, not 174."""
         return self.model._to_java()
 
     def _transform(self, df: DataFrame) -> DataFrame:
@@ -102,10 +102,11 @@ def verify(vm: VerificationModel, df: DataFrame) -> DataFrame:
     else:  # LinearSVC: rawPrediction = [-margin, margin]
         margin = F.element_at(vector_to_array(F.col("rawPrediction")), 2)
         conf = 1.0 / (1.0 + F.exp(-F.abs(margin)))
-    return (
-        scored.withColumns({VERIFICATION_COL: F.col("prediction") == 1.0,
-                            CONFIDENCE_COL: conf})
-        .drop("rawPrediction", "probability", "hashed_features", features.FEATURES_COL)
+    return scored.select(
+        *df.columns,
+        "prediction",
+        (F.col("prediction") == 1.0).alias(VERIFICATION_COL),
+        conf.alias(CONFIDENCE_COL),
     )
 
 

@@ -4,9 +4,9 @@ The paper stores alarms and incident reports as JSON-like documents in
 MongoDB and queries them by field (e.g. by device address to build the
 per-device alarm histogram the streaming consumer attaches to each
 verification window). This substitute keeps the same access surface —
-named collections, appending inserts, field-equality finds, a histogram
-helper — over parquet part files. ``find`` and ``count`` are Spark scans
-(filter pushdown plays the role of Mongo's indexes). The history queries
+named collections, appending inserts, field-equality finds — over
+parquet part files. ``find`` and ``count`` are Spark scans (filter
+pushdown plays the role of Mongo's indexes). The history queries
 (``device_summary``, ``device_histogram``) read only ``device_mac`` and
 ``ts`` from the parts into the driver with ``pyarrow.dataset`` and
 aggregate there, as the paper's MongoDB query also returns its result
@@ -15,7 +15,10 @@ read and aggregate run no Spark job, which is what a streaming window
 pays for its history lookup. Days are UTC days. Like MongoDB,
 collections are schema-flexible across inserts: added fields between
 batches are tolerated (the paper's motivation: alarm structure differs
-across sensor types and software updates).
+across sensor types and software updates). The history queries read
+every part through one declared schema and cast it to that schema, so a
+part whose ``ts`` is a string (as the consumer's sink stores it) reads
+beside parts whose ``ts`` is a timestamp.
 
 Spark writes the parts with the ``LOCAL_FS_CONF`` settings. Without the
 native ``libhadoop`` (pip-installed PySpark ships none) Hadoop's local
@@ -23,7 +26,7 @@ file system forks a ``chmod`` process for every file and directory it
 creates. Its default, checksummed variant also writes a ``.crc`` file
 beside every file; the raw variant writes none, and with the committer's
 ``_SUCCESS`` marker also left out an insert creates 5 files and
-directories instead of 8.
+directories.
 """
 from __future__ import annotations
 
@@ -36,23 +39,11 @@ import pyarrow.dataset as ds
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DateType, LongType, StringType, StructField, StructType
 
-HISTOGRAM_SCHEMA = StructType(
-    [
-        StructField("device_mac", StringType()),
-        StructField("day", DateType()),
-        StructField("n_alarms", LongType()),
-    ]
-)
-SUMMARY_SCHEMA = StructType(
-    [
-        StructField("device_mac", StringType()),
-        StructField("past_alarms", LongType()),
-        StructField("active_days", LongType()),
-    ]
-)
-_EMPTY_ALARMS = pa.schema([("device_mac", pa.string()), ("ts", pa.timestamp("us"))])
+# The two fields the history queries read, as every part is read: a part
+# that stores them as other types (``ts`` as a string, or Spark's INT96
+# timestamps) is cast to these, and fields not named here are not read.
+_HISTORY_SCHEMA = pa.schema([("device_mac", pa.string()), ("ts", pa.timestamp("us"))])
 # Spark settings that cut the files, and so the forks, each write creates.
 # Hadoop caches file systems by scheme and ignores a changed
 # ``fs.file.impl`` unless the cache is off. The committer's ``_SUCCESS``
@@ -112,12 +103,7 @@ class Collection:
     def _alarm_days(self) -> pa.Table:
         """``device_mac``, ``ts`` and its UTC ``day`` of every stored
         document, read from the part files in the driver."""
-        parts = self._parts()
-        table = (
-            ds.dataset(parts, format="parquet").to_table(columns=["device_mac", "ts"])
-            if parts
-            else _EMPTY_ALARMS.empty_table()
-        )
+        table = ds.dataset(self._parts(), format="parquet", schema=_HISTORY_SCHEMA).to_table()
         return table.append_column("day", pc.cast(table["ts"], pa.date32()))
 
     def device_summary(self, spark: SparkSession) -> DataFrame:
@@ -130,36 +116,26 @@ class Collection:
             .group_by("device_mac")
             .aggregate([([], "count_all"), ("day", "count_distinct")])
             .select(["device_mac", "count_all", "day_count_distinct"])
-            .rename_columns(SUMMARY_SCHEMA.names)
+            .rename_columns(["device_mac", "past_alarms", "active_days"])
         )
-        return spark.createDataFrame(summary, SUMMARY_SCHEMA)
+        return spark.createDataFrame(summary)
 
     def device_histogram(
-        self,
-        spark: SparkSession,
-        devices: list[str] | None = None,
-        since: str | None = None,
+        self, spark: SparkSession, devices: list[str] | None = None
     ) -> DataFrame:
-        """Per-device daily alarm counts from time ``since`` on.
-
-        Figure 3's "histogram of the number of alarms starting from a
-        specific time t" for the devices that alarmed; ``devices``
-        restricts it to given devices, and ``since`` is compared on
-        ``ts`` before it is floored to its day. Returns device_mac, day,
-        n_alarms.
-        """
+        """Per-device daily alarm counts: Figure 3's histogram of past
+        alarms, over the whole history; ``devices`` restricts it to given
+        devices. Returns device_mac, day, n_alarms."""
         table = self._alarm_days()
-        if since is not None:
-            table = table.filter(pc.field("ts") >= pd.Timestamp(since))
         if devices is not None:
             table = table.filter(pc.field("device_mac").isin(devices))
         hist = (
             table.group_by(["device_mac", "day"])
             .aggregate([([], "count_all")])
             .select(["device_mac", "day", "count_all"])
-            .rename_columns(HISTOGRAM_SCHEMA.names)
+            .rename_columns(["device_mac", "day", "n_alarms"])
         )
-        return spark.createDataFrame(hist, HISTOGRAM_SCHEMA)
+        return spark.createDataFrame(hist)
 
 
 class DocumentStore:

@@ -8,7 +8,7 @@ factor in multi-ZIP cities and motivates Table 9's scenarios (c)/(d).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import labeling
@@ -44,9 +44,7 @@ def incident_counts_basel(incidents: DataFrame) -> DataFrame:
     )
 
 
-def compute(
-    spark: SparkSession, alarms: DataFrame, incidents: DataFrame
-) -> pd.DataFrame:
+def compute(alarms: DataFrame, incidents: DataFrame) -> pd.DataFrame:
     """The table in the paper's layout: one row per ZIP plus the city
     total row carrying the (city-granular) incident counts."""
     per_zip = true_alarms_by_zip(alarms).toPandas()

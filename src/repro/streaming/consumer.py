@@ -33,7 +33,7 @@ with a forked ``chmod`` (see ``repro.docstore.store``). A call therefore
 runs with the store's ``LOCAL_FS_CONF`` on the session: none of these
 files gets a ``.crc`` checksum file beside it and the sink gets no
 ``_SUCCESS`` marker, so a first call on a fresh checkpoint forks 19
-``chmod`` processes instead of 28.
+``chmod`` processes.
 """
 from __future__ import annotations
 

@@ -12,8 +12,6 @@ import re
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-TOPICS = ("fire", "intrusion")
-
 KEYWORDS: dict[str, dict[str, tuple[str, ...]]] = {
     "fire": {
         "de": ("brand", "feuer", "feuerwehr", "brandstiftung"),

@@ -50,6 +50,17 @@ def test_append_returns_end_offset(log):
     assert end == 4
 
 
+def test_empty_append_publishes_nothing(log):
+    """An append with no lines publishes no segment, so the next append
+    still finds its start offset free."""
+    log.append(0, ["a", "b"])
+    assert log.append(0, []) == 2
+    assert log.append(0, ["c"]) == 3
+    assert sorted(f.name for f in log.partition_dir(0).iterdir()) == [
+        "segment-000000000000-2.jsonl", "segment-000000000002-1.jsonl"
+    ]
+
+
 def test_segment_size_bounds_files(log):
     log.write(_records(100), records_per_segment=10)
     files = [f for f in log.partition_dir(0).iterdir() if f.suffix == ".jsonl"]

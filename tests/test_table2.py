@@ -17,8 +17,8 @@ PAPER_CELLS = {
 
 
 @pytest.fixture(scope="module")
-def computed(spark, sitasys_basel_df, incident_history):
-    return table2.compute(spark, sitasys_basel_df, incident_history)
+def computed(sitasys_basel_df, incident_history):
+    return table2.compute(sitasys_basel_df, incident_history)
 
 
 def test_per_zip_cells_exact(computed):

@@ -49,10 +49,16 @@ def test_confidence_is_probability(rf_model, sitasys_split):
 
 
 def test_verify_drops_internal_columns(rf_model, sitasys_split):
-    _, test_df = sitasys_split
-    out = verifier.verify(rf_model, test_df.limit(10))
-    for col in ("features", "rawPrediction", "probability"):
-        assert col not in out.columns
+    """``verify`` returns its input's columns and its own three, none of the
+    encoder's or the classifier's; with an extra numeric feature the
+    encoder also adds ``hashed_features``."""
+    train_df, test_df = (d.withColumn("risk", F.lit(1.0)) for d in sitasys_split)
+    lr = verifier.train(train_df, algo="lr", dataset="sitasys",
+                        extra_numeric=("risk",), fast=True)
+    for vm, df in ((rf_model, sitasys_split[1].limit(10)), (lr, test_df.limit(10))):
+        assert verifier.verify(vm, df).columns == [
+            *df.columns, "prediction", verifier.VERIFICATION_COL, verifier.CONFIDENCE_COL
+        ]
 
 
 def test_svm_confidence_via_margin(spark, sitasys_split):
