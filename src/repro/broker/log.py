@@ -127,7 +127,3 @@ class PartitionedLog:
     def end_offsets(self) -> dict[int, int]:
         """End offset per partition."""
         return {p: self.end_offset(p) for p in range(self.n_partitions)}
-
-    def total_records(self) -> int:
-        """Total records across all partitions."""
-        return sum(self.end_offsets().values())

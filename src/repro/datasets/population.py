@@ -191,15 +191,6 @@ def zip_table_spark(spark: SparkSession, seed: int = DEFAULT_SEED) -> DataFrame:
     return spark.createDataFrame(zip_table(seed))
 
 
-def city_of(zip_code: str, seed: int = DEFAULT_SEED) -> str:
-    """City a ZIP belongs to; raises KeyError on unknown ZIPs."""
-    t = zip_table(seed)
-    m = t.loc[t.zip_code == zip_code, "city"]
-    if m.empty:
-        raise KeyError(zip_code)
-    return str(m.iloc[0])
-
-
 def covered_cities(seed: int = DEFAULT_SEED) -> tuple[City, ...]:
     """The 1,027 cities the incidents corpus has reports for."""
     return tuple(c for c in registry(seed) if c.covered)

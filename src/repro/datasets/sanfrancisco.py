@@ -36,7 +36,6 @@ FIRE_ALARM_TYPES = ("Alarms", "Structure Fire", "Outside Fire")
 # explicit labels are No Merit (false alarm) / Fire (confirmed); medical
 # calls get transport codes whose true/false mapping is nearly random.
 DISP_OTHER = "Other"
-DISP_FALSE = ("No Merit", "Code 2 Transport", "Cancelled")
 DISP_TRUE = ("Fire", "Code 3 Transport")
 
 # Fraction of fire/alarm calls that are properly labeled: tuned so the

@@ -3,33 +3,25 @@
 The paper stores alarms and incident reports as JSON-like documents in
 MongoDB and queries them by field (e.g. by device address to build the
 per-device alarm histogram the streaming consumer attaches to each
-verification window). This substitute keeps the same access surface —
-named collections, appending inserts, field-equality finds — over
-parquet part files. ``find`` and ``count`` are Spark scans (filter
-pushdown plays the role of Mongo's indexes). The history queries
+verification window). This substitute keeps named collections of
+appending inserts over parquet part files, and does all of its file I/O
+with pyarrow in the driver, as the paper's MongoDB query also returns
+its result to the driver. An insert writes one part from one Arrow
+table; ``count`` reads only the parts' footers. The history queries
 (``device_summary``, ``device_histogram``) read only ``device_mac`` and
-``ts`` from the parts into the driver with ``pyarrow.dataset`` and
-aggregate there, as the paper's MongoDB query also returns its result
-to the driver, then hand the small result to Spark as a DataFrame; that
-read and aggregate run no Spark job, which is what a streaming window
-pays for its history lookup. Days are UTC days. Like MongoDB,
+``ts`` from the parts with ``pyarrow.dataset``, aggregate there and hand
+the small result to Spark as a DataFrame; no Spark job runs for a
+streaming window's history lookup. Days are UTC days. Like MongoDB,
 collections are schema-flexible across inserts: added fields between
 batches are tolerated (the paper's motivation: alarm structure differs
 across sensor types and software updates). The history queries read
 every part through one declared schema and cast it to that schema, so a
 part whose ``ts`` is a string (as the consumer's sink stores it) reads
 beside parts whose ``ts`` is a timestamp.
-
-Spark writes the parts with the ``LOCAL_FS_CONF`` settings. Without the
-native ``libhadoop`` (pip-installed PySpark ships none) Hadoop's local
-file system forks a ``chmod`` process for every file and directory it
-creates. Its default, checksummed variant also writes a ``.crc`` file
-beside every file; the raw variant writes none, and with the committer's
-``_SUCCESS`` marker also left out an insert creates 5 files and
-directories.
 """
 from __future__ import annotations
 
+import uuid
 from pathlib import Path
 
 import pandas as pd
@@ -38,27 +30,11 @@ import pyarrow.compute as pc
 import pyarrow.dataset as ds
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 # The two fields the history queries read, as every part is read: a part
 # that stores them as other types (``ts`` as a string, or Spark's INT96
 # timestamps) is cast to these, and fields not named here are not read.
 _HISTORY_SCHEMA = pa.schema([("device_mac", pa.string()), ("ts", pa.timestamp("us"))])
-# Spark settings that cut the files, and so the forks, each write creates.
-# Hadoop caches file systems by scheme and ignores a changed
-# ``fs.file.impl`` unless the cache is off. The committer's ``_SUCCESS``
-# marker is one more file per write, and nothing reads it. The streaming
-# checkpoint writes through ``FileContext`` unless its manager is the
-# ``FileSystem``-based one; a query reads that key from its session's conf
-# when it starts, and a batch write ignores it.
-LOCAL_FS_CONF = {
-    "fs.file.impl": "org.apache.hadoop.fs.RawLocalFileSystem",
-    "fs.file.impl.disable.cache": "true",
-    "mapreduce.fileoutputcommitter.marksuccessfuljobs": "false",
-    "spark.sql.streaming.checkpointFileManagerClass":
-        "org.apache.spark.sql.execution.streaming.checkpointing."
-        "FileSystemBasedCheckpointFileManager",
-}
 
 
 class Collection:
@@ -72,33 +48,29 @@ class Collection:
         return sorted(str(p) for p in self.path.glob("part-*"))
 
     def insert_many(self, spark: SparkSession, docs: DataFrame | pd.DataFrame) -> int:
-        """Append documents; returns the number inserted.
+        """Append documents as one new part; returns the number inserted.
 
-        The count comes from the footers of the part files the write
-        added, so the input is not read a second time.
+        The part is written to a hidden temp file and published by a
+        rename, so a reader never sees a partial part and a failed write
+        leaves none behind.
         """
-        df = docs if isinstance(docs, DataFrame) else spark.createDataFrame(docs)
-        before = set(self._parts())
-        df.write.options(**LOCAL_FS_CONF).mode("append").parquet(str(self.path))
-        return sum(
-            pq.ParquetFile(p).metadata.num_rows for p in self._parts() if p not in before
-        )
+        table = (docs.toArrow() if isinstance(docs, DataFrame)
+                 else pa.Table.from_pandas(docs, preserve_index=False))
+        self.path.mkdir(parents=True, exist_ok=True)
+        name = f"{uuid.uuid4().hex}.parquet"
+        tmp = self.path / f".tmp-{name}"
+        try:
+            # INT96 stores ``ts`` as Spark writes it, so Spark, DuckDB and
+            # pyarrow all read it back as a naive UTC time.
+            pq.write_table(table, tmp, use_deprecated_int96_timestamps=True)
+            tmp.rename(self.path / f"part-{name}")
+        finally:
+            tmp.unlink(missing_ok=True)
+        return table.num_rows
 
-    def find(self, spark: SparkSession, **equals) -> DataFrame:
-        """All documents matching the given field-equality predicates.
-
-        ``find(spark, zip_code="4001", alarm_type="fire")`` mirrors a
-        MongoDB ``find({zip_code: "4001", alarm_type: "fire"})``; parquet
-        filter pushdown plays the role of Mongo's indexes.
-        """
-        df = spark.read.option("mergeSchema", "true").parquet(str(self.path))
-        for field, value in equals.items():
-            df = df.where(F.col(field) == F.lit(value))
-        return df
-
-    def count(self, spark: SparkSession, **equals) -> int:
-        """Number of documents matching the equality predicates."""
-        return int(self.find(spark, **equals).count())
+    def count(self, spark: SparkSession) -> int:
+        """Number of stored documents, from the parts' footers."""
+        return sum(pq.read_metadata(p).num_rows for p in self._parts())
 
     def _alarm_days(self) -> pa.Table:
         """``device_mac``, ``ts`` and its UTC ``day`` of every stored

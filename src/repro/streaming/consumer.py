@@ -28,11 +28,13 @@ and never shuffles; ``repartition=1`` runs the whole window, parse
 included, on one task: the serial path.
 
 Every window creates files: offset, commit and source-log entries in
-the checkpoint, and the sink's parts and committer directories, each
-with a forked ``chmod`` (see ``repro.docstore.store``). A call therefore
-runs with the store's ``LOCAL_FS_CONF`` on the session: none of these
-files gets a ``.crc`` checksum file beside it and the sink gets no
-``_SUCCESS`` marker, so a first call on a fresh checkpoint forks 19
+the checkpoint, and the sink's parts and committer directories. Without
+the native ``libhadoop`` (pip-installed PySpark ships none) Hadoop's
+local file system forks a ``chmod`` process for every file and directory
+it creates, and its default, checksummed variant also writes a ``.crc``
+file beside every file. A call therefore runs with ``LOCAL_FS_CONF`` on
+the session: the raw variant writes no ``.crc`` file and the sink gets
+no ``_SUCCESS`` marker, so a first call on a fresh checkpoint forks 19
 ``chmod`` processes.
 """
 from __future__ import annotations
@@ -48,7 +50,23 @@ from pyspark.sql.types import (
 
 from repro.broker.log import PartitionedLog
 from repro.core import verifier
-from repro.docstore.store import LOCAL_FS_CONF, Collection
+from repro.docstore.store import Collection
+
+# Spark settings that cut the files, and so the forks, each call creates.
+# Hadoop caches file systems by scheme and ignores a changed
+# ``fs.file.impl`` unless the cache is off. The committer's ``_SUCCESS``
+# marker is one more file per write, and nothing reads it. The streaming
+# checkpoint writes through ``FileContext`` unless its manager is the
+# ``FileSystem``-based one; a query reads that key from its session's conf
+# when it starts.
+LOCAL_FS_CONF = {
+    "fs.file.impl": "org.apache.hadoop.fs.RawLocalFileSystem",
+    "fs.file.impl.disable.cache": "true",
+    "mapreduce.fileoutputcommitter.marksuccessfuljobs": "false",
+    "spark.sql.streaming.checkpointFileManagerClass":
+        "org.apache.spark.sql.execution.streaming.checkpointing."
+        "FileSystemBasedCheckpointFileManager",
+}
 
 ALARM_STREAM_SCHEMA = StructType(
     [

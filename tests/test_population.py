@@ -75,10 +75,10 @@ def test_registry_deterministic():
     assert a.equals(b)
 
 
-def test_city_of_lookup():
-    assert population.city_of("4051") == "Basel"
-    with pytest.raises(KeyError):
-        population.city_of("0000")
+def test_city_of_lookup(zt):
+    city = zt.set_index("zip_code")["city"]
+    assert city["4051"] == "Basel"
+    assert "0000" not in city.index
 
 
 def test_zip_table_spark_roundtrip(spark, zt):

@@ -57,8 +57,7 @@ def test_run_persists_to_docstore(spark, incidents_raw, tmp_path):
     store = DocumentStore(tmp_path / "db")
     n = pipeline.run(spark, incidents_raw, store)
     assert n == 5_056
-    stored = store.collection(pipeline.INCIDENTS_COLLECTION).find(spark)
-    assert stored.count() == 5_056
+    assert store.collection(pipeline.INCIDENTS_COLLECTION).count(spark) == 5_056
 
 
 def test_raw_feed_contains_decoys(incidents_raw):
