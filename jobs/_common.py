@@ -5,18 +5,13 @@ pyspark) and via ``spark-submit jobs/<name>.py``.
 """
 from __future__ import annotations
 
-import os
-
 from pyspark.sql import SparkSession
 
 
 def get_spark(app_name: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.enabled", "false")
         .getOrCreate()

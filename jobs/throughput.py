@@ -17,7 +17,7 @@ from _common import get_spark
 
 from repro.broker.log import PartitionedLog
 from repro.broker.producer import stream_from_test_set
-from repro.core import labeling, verifier
+from repro.core import verifier
 from repro.datasets import sitasys
 from repro.docstore.store import DocumentStore
 from repro.evaluation import throughput
@@ -61,7 +61,7 @@ def main() -> None:
     spark = get_spark("throughput")
     df = spark.createDataFrame(sitasys.generate_pandas(sf=0.05, seed=SEED, basel_exact=False))
     train_df, test_df = verifier.split(df, seed=SEED)
-    vm = verifier.train(labeling.with_label(train_df), algo="rf", dataset="sitasys")
+    vm = verifier.train(train_df, algo="rf", dataset="sitasys")
     test_pdf = test_df.toPandas()
     with tempfile.TemporaryDirectory(prefix="repro-tp-") as tmp:
         work = Path(tmp)

@@ -8,7 +8,7 @@ stable (Figure 9), which is the property our tests assert.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 DEFAULT_DELTA_T_S = 60.0
@@ -17,17 +17,11 @@ DELTA_T_SWEEP_S = tuple(60.0 * m for m in range(1, 11))
 LABEL_COL = "label"
 
 
-def label_expr(delta_t_s: float = DEFAULT_DELTA_T_S) -> Column:
-    """1.0 if the alarm is TRUE (ran at least Δt seconds), else 0.0."""
-    return (F.col("duration_s") >= F.lit(float(delta_t_s))).cast("double")
-
-
 def with_label(df: DataFrame, delta_t_s: float = DEFAULT_DELTA_T_S) -> DataFrame:
-    """Append the duration-threshold label column to an alarm DataFrame."""
-    return df.withColumn(LABEL_COL, label_expr(delta_t_s))
+    """Add the duration-threshold label to an alarm DataFrame: 1.0 if the
+    alarm is TRUE (ran at least Δt seconds), else 0.0.
 
-
-def label_balance(df: DataFrame, delta_t_s: float = DEFAULT_DELTA_T_S) -> float:
-    """Fraction of TRUE alarms under the given threshold."""
-    row = with_label(df, delta_t_s).agg(F.avg(LABEL_COL).alias("frac")).first()
-    return float(row["frac"])
+    An existing ``label`` column is replaced in place."""
+    return df.withColumn(
+        LABEL_COL, (F.col("duration_s") >= F.lit(float(delta_t_s))).cast("double")
+    )

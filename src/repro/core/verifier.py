@@ -70,14 +70,11 @@ def train(
     ``extra_numeric`` appends continuous features (the hybrid a-priori
     risk factors) after the hashed categorical block.
     """
-    labeled = (
-        train_df
-        if labeling.LABEL_COL in train_df.columns
-        else labeling.with_label(train_df, delta_t_s)
-    )
     stages, dim = features.build_encoder(dataset, extra_numeric)
     est = models.build_estimator(algo, dim, fast=fast)
-    fitted = Pipeline(stages=[*stages, est]).fit(labeled)
+    fitted = Pipeline(stages=[*stages, est]).fit(
+        labeling.with_label(train_df, delta_t_s)
+    )
     return VerificationModel(
         model=fitted,
         algo=algo,
@@ -112,12 +109,7 @@ def verify(vm: VerificationModel, df: DataFrame) -> DataFrame:
 
 def accuracy(vm: VerificationModel, test_df: DataFrame) -> float:
     """Verification accuracy against the duration-threshold label."""
-    labeled = (
-        test_df
-        if labeling.LABEL_COL in test_df.columns
-        else labeling.with_label(test_df, vm.delta_t_s)
-    )
-    scored = vm._transform(labeled)
+    scored = vm._transform(labeling.with_label(test_df, vm.delta_t_s))
     row = scored.agg(
         F.avg(
             (F.col("prediction") == F.col(labeling.LABEL_COL)).cast("double")

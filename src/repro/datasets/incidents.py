@@ -34,6 +34,7 @@ N_RELEVANT = 5_056
 LANG_TOTALS = {"de": 2_743, "fr": 1_516, "en": 797}
 BASEL_REPORTS = {"fire": 464, "intrusion": 10}
 N_DECOYS = 1_500
+SEED = 41
 
 TEMPLATES = {
     ("de", "fire"): (
@@ -103,7 +104,7 @@ _DAYS = 1_034  # through end of October 2017
 SOURCES = ("twitter", "rss", "web")
 
 
-def _allocate_counts(seed: int) -> pd.DataFrame:
+def _allocate_counts() -> pd.DataFrame:
     """Per-(city, topic) relevant-report counts; deterministic."""
     cities = [c for c in population.covered_cities() if c.name != "Basel"]
     weights = np.array(
@@ -132,14 +133,14 @@ def _allocate_counts(seed: int) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def _assign_languages(cities: pd.Series, seed: int) -> np.ndarray:
+def _assign_languages(cities: pd.Series) -> np.ndarray:
     """Report languages: city's region language, minimally adjusted so
     per-language totals match the paper exactly."""
     city_lang = {c.name: c.language for c in population.registry()}
     langs = np.array([city_lang[c] for c in cities], dtype=object)
     counts = {lang: int((langs == lang).sum()) for lang in LANG_TOTALS}
     over = {k: counts[k] - LANG_TOTALS[k] for k in LANG_TOTALS}
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(SEED)
     order = g.permutation(len(langs))
     for i in order:
         src = str(langs[i])
@@ -154,13 +155,13 @@ def _assign_languages(cities: pd.Series, seed: int) -> np.ndarray:
     return langs
 
 
-def generate_relevant(seed: int = 41) -> pd.DataFrame:
+def generate_relevant() -> pd.DataFrame:
     """The 5,056 relevant reports with hidden ``truth_*`` annotations."""
-    counts = _allocate_counts(seed)
+    counts = _allocate_counts()
     cities = counts.loc[counts.index.repeat(counts["n"]), ["city", "topic"]]
     cities = cities.reset_index(drop=True)
-    langs = _assign_languages(cities["city"], seed)
-    g = np.random.default_rng(seed + 1)
+    langs = _assign_languages(cities["city"])
+    g = np.random.default_rng(SEED + 1)
     dates = _START + pd.to_timedelta(g.integers(0, _DAYS, len(cities)), unit="D")
 
     texts, metas_loc, metas_date = [], [], []
@@ -187,9 +188,9 @@ def generate_relevant(seed: int = 41) -> pd.DataFrame:
     )
 
 
-def generate_decoys(seed: int = 43) -> pd.DataFrame:
+def generate_decoys() -> pd.DataFrame:
     """Irrelevant reports the topic filter must reject."""
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(SEED + 2)
     all_cities = [c.name for c in population.registry()]
     rows = []
     for i in range(N_DECOYS):
@@ -213,10 +214,10 @@ def generate_decoys(seed: int = 43) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def raw_feed(spark: SparkSession, seed: int = 41) -> DataFrame:
+def raw_feed(spark: SparkSession) -> DataFrame:
     """Relevant + decoy reports, shuffled — the pipeline's input."""
     pdf = pd.concat(
-        [generate_relevant(seed), generate_decoys(seed + 2)], ignore_index=True
+        [generate_relevant(), generate_decoys()], ignore_index=True
     )
-    pdf = pdf.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+    pdf = pdf.sample(frac=1.0, random_state=SEED).reset_index(drop=True)
     return spark.createDataFrame(pdf)

@@ -33,7 +33,7 @@ from pyspark.sql import DataFrame, SparkSession
 N_CITIES = 4_100
 N_COVERED_CITIES = 1_027
 N_MULTI_ZIP_CITIES = 40
-DEFAULT_SEED = 7
+SEED = 7
 
 # Real city names for flavour; everything else gets a unique synthetic
 # single-token name so gazetteer extraction from free text is exact.
@@ -78,10 +78,10 @@ class City:
     risk_intrusion: float
 
 
-@functools.lru_cache(maxsize=4)
-def registry(seed: int = DEFAULT_SEED) -> tuple[City, ...]:
+@functools.cache
+def registry() -> tuple[City, ...]:
     """Deterministic tuple of all cities, largest population first."""
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(SEED)
 
     names: list[str] = [c[0] for c in _REAL_CITIES]
     pops: list[int] = [c[1] for c in _REAL_CITIES]
@@ -149,17 +149,17 @@ def registry(seed: int = DEFAULT_SEED) -> tuple[City, ...]:
     return tuple(cities)
 
 
-@functools.lru_cache(maxsize=4)
-def zip_table(seed: int = DEFAULT_SEED) -> pd.DataFrame:
+@functools.cache
+def zip_table() -> pd.DataFrame:
     """One row per ZIP: zip_code, city, city_population, zip_population,
     n_zips_in_city, single_zip, covered, language, risk_fire, risk_intrusion.
 
     Per-ZIP risks jitter around the city risk so districts of one city
     genuinely differ (the information a city-level risk factor loses).
     """
-    g = np.random.default_rng(seed + 1)
+    g = np.random.default_rng(SEED + 1)
     rows = []
-    for c in registry(seed):
+    for c in registry():
         k = len(c.zips)
         shares = g.dirichlet(np.full(k, 5.0)) if k > 1 else np.array([1.0])
         for z, share in zip(c.zips, shares):
@@ -186,14 +186,14 @@ def zip_table(seed: int = DEFAULT_SEED) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def zip_table_spark(spark: SparkSession, seed: int = DEFAULT_SEED) -> DataFrame:
+def zip_table_spark(spark: SparkSession) -> DataFrame:
     """The ZIP registry as a Spark DataFrame (for joins in queries)."""
-    return spark.createDataFrame(zip_table(seed))
+    return spark.createDataFrame(zip_table())
 
 
-def covered_cities(seed: int = DEFAULT_SEED) -> tuple[City, ...]:
+def covered_cities() -> tuple[City, ...]:
     """The 1,027 cities the incidents corpus has reports for."""
-    return tuple(c for c in registry(seed) if c.covered)
+    return tuple(c for c in registry() if c.covered)
 
 
 def synthetic_zones(n: int, *, seed: int, prefix: str = "Z") -> pd.DataFrame:

@@ -144,12 +144,12 @@ def _with_duration(pdf: pd.DataFrame) -> pd.DataFrame:
 def generate(
     spark: SparkSession, *, sf: float = 1.0, seed: int = 31, subset: str = "usable"
 ) -> DataFrame:
-    """SFFD data as Spark: ``subset`` ∈ raw | usable | all_labeled."""
+    """SFFD data as Spark: ``subset`` ∈ usable | all_labeled."""
     pdf = generate_pandas(sf=sf, seed=seed)
     if subset == "usable":
-        pdf = _with_duration(usable_subset(pdf))
+        pdf = usable_subset(pdf)
     elif subset == "all_labeled":
-        pdf = _with_duration(all_labeled_subset(pdf))
-    elif subset != "raw":
+        pdf = all_labeled_subset(pdf)
+    else:
         raise ValueError(f"unknown subset {subset!r}")
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(_with_duration(pdf))

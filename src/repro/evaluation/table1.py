@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pandas as pd
 
-ROLES = ("Location", "Time", "Type of Location", "Incident Type", "Label")
-
 # role -> (paper's column name, our generator's column name or None)
 MAPPING: dict[str, dict[str, tuple[str, str | None]]] = {
     "Sitasys": {
@@ -46,8 +44,3 @@ def compute() -> pd.DataFrame:
             {"Dataset": dataset, **{role: paper for role, (paper, _ours) in roles.items()}}
         )
     return pd.DataFrame(rows)
-
-
-def our_columns(dataset: str) -> dict[str, str | None]:
-    """role -> our generator's column, for schema validation in tests."""
-    return {role: ours for role, (_paper, ours) in MAPPING[dataset].items()}

@@ -17,15 +17,11 @@ from repro.datasets.sitasys import BASEL_TRUE
 BASEL_ZIPS = tuple(BASEL_TRUE)
 
 
-def true_alarms_by_zip(alarms: DataFrame, delta_t_s: float = 60.0) -> DataFrame:
+def true_alarms_by_zip(alarms: DataFrame) -> DataFrame:
     """True F/I alarm counts per Basel ZIP: zip_code, intrusion, fire."""
-    lab = (
-        alarms
-        if labeling.LABEL_COL in alarms.columns
-        else labeling.with_label(alarms, delta_t_s)
-    )
     return (
-        lab.where(F.col("zip_code").isin(*BASEL_ZIPS))
+        labeling.with_label(alarms)
+        .where(F.col("zip_code").isin(*BASEL_ZIPS))
         .where(F.col("alarm_type").isin("intrusion", "fire"))
         .where(F.col(labeling.LABEL_COL) == 1.0)
         .groupBy("zip_code")

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import labeling, models, verifier
+from repro.core import models, verifier
 from repro.datasets import london, sanfrancisco, sitasys
+
+SEED = 11
 
 # Paper's Table 8 values [seconds], for side-by-side reporting.
 PAPER_TRAINING_TIME = {
@@ -38,13 +40,13 @@ class TrainingResult:
     paper_time_s: int
 
 
-def _load(spark: SparkSession, dataset: str, sf: float, seed: int) -> DataFrame:
+def _load(spark: SparkSession, dataset: str, sf: float) -> DataFrame:
     if dataset == "sitasys":
-        return sitasys.generate(spark, sf=sf, seed=seed, basel_exact=False)
+        return sitasys.generate(spark, sf=sf, seed=SEED, basel_exact=False)
     if dataset == "london":
-        return london.generate(spark, sf=sf, seed=seed)
+        return london.generate(spark, sf=sf, seed=SEED)
     if dataset == "sf":
-        return sanfrancisco.generate(spark, sf=sf, seed=seed, subset="usable")
+        return sanfrancisco.generate(spark, sf=sf, seed=SEED, subset="usable")
     raise ValueError(dataset)
 
 
@@ -54,7 +56,6 @@ def run(
     sf_per_dataset: dict[str, float] | None = None,
     algos: tuple[str, ...] = models.ALGORITHMS,
     fast: bool = False,
-    seed: int = 11,
 ) -> list[TrainingResult]:
     """Fit every (algo, dataset) pair once; returns timing + accuracy.
 
@@ -65,10 +66,9 @@ def run(
     sfs = sf_per_dataset or {"sitasys": 0.1, "london": 0.1, "sf": 0.5}
     results: list[TrainingResult] = []
     for dataset, sf in sfs.items():
-        df = _load(spark, dataset, sf, seed)
-        train_df, test_df = verifier.split(df, seed=seed)
-        train_df = labeling.with_label(train_df).cache()
-        test_df = labeling.with_label(test_df).cache()
+        train_df, test_df = verifier.split(_load(spark, dataset, sf), seed=SEED)
+        train_df = train_df.cache()
+        test_df = test_df.cache()
         n_train = train_df.count()
         test_df.count()
         for algo in algos:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import labeling, risk, verifier
+from repro.core import risk, verifier
 from repro.datasets import incidents as incidents_data
 from repro.datasets import sitasys
 from repro.text import pipeline as text_pipeline
+
+SEED = 11
 
 # Paper's Table 9, for side-by-side reporting in EXPERIMENTS.md.
 PAPER_ACCURACY = {
@@ -58,16 +60,14 @@ def run(
     scenarios: tuple[str, ...] = risk.SCENARIOS,
     variants: tuple[str, ...] = VARIANTS,
     fast: bool = False,
-    seed: int = 11,
     alarms: DataFrame | None = None,
 ) -> list[HybridResult]:
     """Accuracy per (scenario, variant), averaged over ``runs`` splits."""
     if alarms is None:
-        alarms = sitasys.generate(spark, sf=sf, seed=seed, basel_exact=False)
+        alarms = sitasys.generate(spark, sf=sf, seed=SEED, basel_exact=False)
     factors = risk.risk_factors(spark, incident_history(spark)).cache()
     factors.count()
-    labeled = labeling.with_label(alarms)
-    with_city = risk.with_city(spark, labeled).cache()
+    with_city = risk.with_city(spark, alarms).cache()
     with_city.count()
 
     results: list[HybridResult] = []
@@ -84,7 +84,7 @@ def run(
             extra = () if variant == "baseline" else (risk.RISK_COL,)
             accs = []
             for run_i in range(runs):
-                train_df, test_df = verifier.split(df, seed=seed + run_i)
+                train_df, test_df = verifier.split(df, seed=SEED + run_i)
                 vm = verifier.train(
                     train_df,
                     algo=algo,

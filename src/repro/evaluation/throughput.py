@@ -16,6 +16,8 @@ from repro.broker import serializers
 from repro.broker.producer import alarms_to_records
 from repro.datasets import sitasys
 
+SEED = 11
+
 
 @dataclass(frozen=True)
 class SerializerResult:
@@ -26,10 +28,10 @@ class SerializerResult:
 
 
 def serializer_throughput(
-    n_records: int = 50_000, *, sf: float = 0.01, seed: int = 11
+    n_records: int = 50_000, *, sf: float = 0.01
 ) -> list[SerializerResult]:
     """Records/s for each serializer over real alarm payloads (<1 KB)."""
-    pdf = sitasys.generate_pandas(sf=sf, seed=seed, basel_exact=False)
+    pdf = sitasys.generate_pandas(sf=sf, seed=SEED, basel_exact=False)
     records = alarms_to_records(pdf)
     records = (records * (n_records // len(records) + 1))[:n_records]
     out = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 from pyspark.sql.types import StringType
@@ -69,16 +69,13 @@ def _city_udf(texts: pd.Series) -> pd.Series:
     return texts.map(extract_city)
 
 
-def date_col(text_col: str = "text", meta_col: str = "meta_date") -> Column:
-    """Incident date: metadata first, else extracted from the text."""
-    return F.coalesce(F.col(meta_col), _date_udf(F.col(text_col)))
-
-
-def city_col(text_col: str = "text", meta_col: str = "meta_location") -> Column:
-    """Incident city: metadata first, else gazetteer match in the text."""
-    return F.coalesce(F.col(meta_col), _city_udf(F.col(text_col)))
-
-
 def annotate(df: DataFrame) -> DataFrame:
-    """Add ``incident_date`` and ``city`` columns to filtered reports."""
-    return df.withColumn("incident_date", date_col()).withColumn("city", city_col())
+    """Add ``incident_date`` and ``city`` columns to filtered reports.
+
+    Each takes the feed's metadata (``meta_date``, ``meta_location``)
+    first, else what is extracted from ``text``.
+    """
+    text = F.col("text")
+    return df.withColumn(
+        "incident_date", F.coalesce(F.col("meta_date"), _date_udf(text))
+    ).withColumn("city", F.coalesce(F.col("meta_location"), _city_udf(text)))

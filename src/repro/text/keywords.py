@@ -31,19 +31,20 @@ def _pattern(topic: str) -> str:
     return r"(?i)\b(" + "|".join(re.escape(w) for w in words) + r")\b"
 
 
-def topic_col(text_col: str = "text") -> Column:
+def topic_col() -> Column:
     """'fire' / 'intrusion' / NULL for each report's text.
 
     Fire wins when both topics match (arbitrary but deterministic;
     dual-topic reports do not occur in the corpus).
     """
+    text = F.col("text")
     return (
-        F.when(F.col(text_col).rlike(_pattern("fire")), F.lit("fire"))
-        .when(F.col(text_col).rlike(_pattern("intrusion")), F.lit("intrusion"))
+        F.when(text.rlike(_pattern("fire")), F.lit("fire"))
+        .when(text.rlike(_pattern("intrusion")), F.lit("intrusion"))
         .otherwise(F.lit(None).cast("string"))
     )
 
 
-def filter_relevant(df: DataFrame, text_col: str = "text") -> DataFrame:
+def filter_relevant(df: DataFrame) -> DataFrame:
     """Keep only fire/intrusion reports, annotated with ``topic``."""
-    return df.withColumn("topic", topic_col(text_col)).where(F.col("topic").isNotNull())
+    return df.withColumn("topic", topic_col()).where(F.col("topic").isNotNull())

@@ -51,6 +51,6 @@ def _detect_udf(texts: pd.Series) -> pd.Series:
     return texts.map(detect)
 
 
-def language_col(text_col: str = "text") -> Column:
+def language_col() -> Column:
     """Column expression annotating each report with its language."""
-    return _detect_udf(F.col(text_col))
+    return _detect_udf(F.col("text"))

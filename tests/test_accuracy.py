@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import labeling, verifier
+from repro.core import verifier
 from repro.datasets import sanfrancisco as sfd
 
 
@@ -18,16 +18,12 @@ def acc(spark, sitasys_df, london_df):
     out = {}
     for name, df in (("sitasys", sitasys_df), ("london", london_df)):
         train_df, test_df = verifier.split(df, seed=2)
-        vm = verifier.train(
-            labeling.with_label(train_df), algo="rf", dataset=name, fast=True
-        )
-        out[name] = verifier.accuracy(vm, labeling.with_label(test_df))
+        vm = verifier.train(train_df, algo="rf", dataset=name, fast=True)
+        out[name] = verifier.accuracy(vm, test_df)
     usable = sfd.generate(spark, sf=0.3, subset="usable")
     train_df, test_df = verifier.split(usable, seed=2)
-    vm = verifier.train(
-        labeling.with_label(train_df), algo="rf", dataset="sf", fast=True
-    )
-    out["sf"] = verifier.accuracy(vm, labeling.with_label(test_df))
+    vm = verifier.train(train_df, algo="rf", dataset="sf", fast=True)
+    out["sf"] = verifier.accuracy(vm, test_df)
     return out
 
 
@@ -54,10 +50,8 @@ def test_sf_all_labeled_near_chance(spark):
     # Paper: "only around 53% accuracy" with medical labels included.
     al = sfd.generate(spark, sf=0.01, subset="all_labeled")
     train_df, test_df = verifier.split(al, seed=2)
-    vm = verifier.train(
-        labeling.with_label(train_df), algo="lr", dataset="sf", fast=True
-    )
-    a = verifier.accuracy(vm, labeling.with_label(test_df))
+    vm = verifier.train(train_df, algo="lr", dataset="sf", fast=True)
+    a = verifier.accuracy(vm, test_df)
     assert a < 0.62
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -55,16 +54,3 @@ def test_alarm_payload_under_1kb(sitasys_pdf):
     ser = serializers.SERIALIZERS["gsonish"]
     for rec in alarms_to_records(sitasys_pdf.head(20)):
         assert len(ser.dumps(rec).encode()) < 1024
-
-
-def test_gsonish_faster_than_jacksonish(sitasys_pdf):
-    """The paper's bottleneck finding: the direct serializer beats the
-    reflective one on small alarm objects."""
-    records = alarms_to_records(sitasys_pdf.head(500)) * 8
-    timings = {}
-    for name, ser in serializers.SERIALIZERS.items():
-        t0 = time.perf_counter()
-        for r in records:
-            ser.loads(ser.dumps(r))
-        timings[name] = time.perf_counter() - t0
-    assert timings["gsonish"] < timings["jacksonish"]

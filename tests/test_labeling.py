@@ -41,14 +41,14 @@ def test_agreement_best_near_one_minute(sitasys_pdf):
 def test_balance_monotone_in_threshold(spark, sitasys_df):
     # Raising Δt can only shrink the TRUE class.
     balances = [
-        labeling.label_balance(sitasys_df, dt)
+        labeling.with_label(sitasys_df, dt).agg(F.avg("label")).first()[0]
         for dt in (60.0, 180.0, 600.0)
     ]
     assert balances[0] >= balances[1] >= balances[2]
 
 
 def test_default_balance_roughly_even(spark, sitasys_df):
-    frac = labeling.label_balance(sitasys_df)
+    frac = labeling.with_label(sitasys_df).agg(F.avg("label")).first()[0]
     assert 0.40 <= frac <= 0.55
 
 

@@ -66,6 +66,6 @@ def test_raw_feed_contains_decoys(incidents_raw):
 
 
 def test_corpus_deterministic(spark):
-    a = incidents.generate_relevant(41)
-    b = incidents.generate_relevant(41)
+    a = incidents.generate_relevant()
+    b = incidents.generate_relevant()
     assert a.equals(b)

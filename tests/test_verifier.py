@@ -95,9 +95,19 @@ def test_verification_consistent_with_prediction(rf_model, sitasys_split):
 
 
 def test_train_on_prelabeled_frame(spark, sitasys_split):
+    """``train`` labels its input itself: the labelled split and the same
+    split without its label give the same verdicts and confidences."""
     train_df, test_df = sitasys_split
-    vm = verifier.train(train_df, algo="lr", dataset="sitasys", fast=True)
-    assert verifier.accuracy(vm, test_df) > 0.6
+    labelled, raw = (
+        verifier.train(df, algo="lr", dataset="sitasys", fast=True)
+        for df in (train_df, train_df.drop(labeling.LABEL_COL))
+    )
+    assert verifier.accuracy(labelled, test_df) > 0.6
+    cols = ("alarm_id", verifier.VERIFICATION_COL, verifier.CONFIDENCE_COL)
+    assert (
+        verifier.verify(raw, test_df).select(*cols).orderBy("alarm_id").collect()
+        == verifier.verify(labelled, test_df).select(*cols).orderBy("alarm_id").collect()
+    )
 
 
 @pytest.mark.parametrize("algo", models.ALGORITHMS)
